@@ -1,16 +1,15 @@
 """Pluggable chunk-residency stores: RAM tier + simulated-NVMe disk tier.
 
-The task cache (:mod:`repro.core.dist_cache`) and the shared chunk tier
-(:mod:`repro.core.shared_cache`) both used to hold resident chunks in a
-bare in-memory dict charged against the node's memory ``Container`` —
-which made "dataset larger than aggregate RAM" inexpressible: once
-memory ran out, every further chunk stayed server-resident forever.
-This module extracts that residency decision behind one interface with
-two backends, selected by ``DieselConfig.cache_store``:
+Every resident cache chunk lives in the chunk store of its node's
+shared chunk tier (:mod:`repro.core.shared_cache`), whether the tier
+serves many tasks or the one task that created it.  The store decides
+*where* a chunk lives; the tier decides *who* references it.  Two
+backends, selected by ``SharedCacheRegistry(store=...)``:
 
-* :class:`RamStore` (``"ram"``) — the legacy behaviour, bit-compatible:
-  chunks live in node memory in LRU order; a chunk that does not fit is
-  refused (``put`` returns ``None``) and stays server-resident.
+* :class:`RamStore` (``"ram"``) — chunks live in node memory in LRU
+  order; a chunk that does not fit is refused (``put`` returns
+  ``None``) and stays server-resident.  It also holds the residency
+  bookkeeping both stores share.
 * :class:`TieredStore` (``"tiered"``) — adds a simulated node-local
   NVMe tier (a :class:`~repro.cluster.devices.Device` queueing station,
   latency/bandwidth from ``disk_latency_s`` / ``disk_bandwidth_bps``,
@@ -49,8 +48,9 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 from repro.cluster.devices import Device
 from repro.core.chunk import Chunk
 from repro.sim.engine import Environment, Event
+from repro.sim.resources import SingleFlight
 
-#: Selectable store backends (``DieselConfig.cache_store``).
+#: Selectable store backends (``SharedCacheRegistry(store=...)``).
 STORE_KINDS = ("ram", "tiered")
 
 #: Default per-operation latency of the simulated node-local NVMe tier.
@@ -186,9 +186,12 @@ class ChunkStoreStats:
 
 
 class RamStore:
-    """RAM-only chunk residency (the legacy behaviour, bit-compatible).
+    """RAM-only chunk residency, and the bookkeeping both stores share.
 
     Chunks are charged against ``node.memory`` and kept in LRU order.
+    The residency maps, lookups and removal are defined here once for
+    both tiers; a RAM store simply never files anything on its (empty)
+    disk map, so a chunk that does not fit in memory is refused.
     All cost-bearing methods (``put`` / ``load`` / ``displace``) are
     generators so both backends share one calling convention; for the
     RAM store only ``put`` ever yields (the memory ``Container.get``).
@@ -202,6 +205,11 @@ class RamStore:
         #: key → (chunk, nbytes) in LRU order (oldest first).
         self._ram: "OrderedDict[str, Tuple[Chunk, int]]" = OrderedDict()
         self._ram_bytes = 0
+        #: key → (chunk, nbytes, stored bytes) on the disk tier, in LRU
+        #: order; only :class:`TieredStore` ever files a chunk here.
+        self._disk: "OrderedDict[str, Tuple[Chunk, int, int]]" = OrderedDict()
+        self._disk_bytes = 0
+        self._disk_stored = 0
         #: Called with the key whenever the store drops a chunk from
         #: every tier on its own initiative (disk-capacity eviction) —
         #: lets the owner drop its metadata in step.
@@ -217,32 +225,39 @@ class RamStore:
         s = self._stats
         s.ram_bytes = self._ram_bytes
         s.chunks_ram = len(self._ram)
+        s.disk_bytes = self._disk_bytes
+        s.disk_stored_bytes = self._disk_stored
+        s.chunks_disk = len(self._disk)
         return s
 
     @property
     def count(self) -> int:
         """Resident chunks across all tiers."""
-        return len(self._ram)
+        return len(self._ram) + len(self._disk)
 
     def contains(self, key: str) -> bool:
-        return key in self._ram
+        return key in self._ram or key in self._disk
 
     def tier_of(self, key: str) -> Optional[str]:
         """``"ram"`` / ``"disk"`` / ``None``."""
-        return "ram" if key in self._ram else None
+        if key in self._ram:
+            return "ram"
+        if key in self._disk:
+            return "disk"
+        return None
 
     def nbytes_of(self, key: str) -> int:
-        item = self._ram.get(key)
+        item = self._ram.get(key) or self._disk.get(key)
         return item[1] if item is not None else 0
 
     def chunk_object(self, key: str) -> Optional[Chunk]:
         """The resident Chunk object on any tier — bookkeeping only (no
         touch, no cost); cost-bearing reads go through :meth:`load`."""
-        item = self._ram.get(key)
+        item = self._ram.get(key) or self._disk.get(key)
         return item[0] if item is not None else None
 
     def keys(self) -> List[str]:
-        return list(self._ram)
+        return list(self._ram) + list(self._disk)
 
     def ram_lru(self) -> List[str]:
         """RAM-resident keys, least-recently-used first (a snapshot —
@@ -273,6 +288,14 @@ class RamStore:
             self._ram.move_to_end(key)
 
     # -------------------------------------------------------------- admission
+    def _put_ram(
+        self, key: str, chunk: Chunk, nbytes: int
+    ) -> Generator[Event, Any, str]:
+        yield self.node.memory.get(nbytes)
+        self._ram[key] = (chunk, nbytes)
+        self._ram_bytes += nbytes
+        return "ram"
+
     def put(
         self, key: str, chunk: Chunk, nbytes: int, evictable=None
     ) -> Generator[Event, Any, Optional[str]]:
@@ -284,10 +307,7 @@ class RamStore:
         """
         if self.node.memory.level < nbytes:
             return None
-        yield self.node.memory.get(nbytes)
-        self._ram[key] = (chunk, nbytes)
-        self._ram_bytes += nbytes
-        return "ram"
+        return (yield from self._put_ram(key, chunk, nbytes))
 
     def load(
         self, key: str
@@ -313,22 +333,37 @@ class RamStore:
         yield  # pragma: no cover - marks this function as a generator
 
     # ---------------------------------------------------------------- removal
-    def drop(self, key: str) -> None:
-        """Forget a chunk, returning its memory if it was RAM-resident."""
+    def _drop_ram(self, key: str) -> None:
         item = self._ram.pop(key, None)
         if item is not None:
             self._ram_bytes -= item[1]
             if self.node.alive:
                 self.node.memory.put(item[1])
 
+    def _drop_disk(self, key: str) -> None:
+        entry = self._disk.pop(key, None)
+        if entry is not None:
+            self._disk_bytes -= entry[1]
+            self._disk_stored -= entry[2]
+
+    def drop(self, key: str) -> None:
+        """Forget a chunk on whichever tier holds it, returning its
+        memory if it was RAM-resident."""
+        if key in self._ram:
+            self._drop_ram(key)
+        else:
+            self._drop_disk(key)
+
     def clear(self) -> None:
         """Forget everything, returning RAM (graceful teardown)."""
-        for key in list(self._ram):
+        for key in self.keys():
             self.drop(key)
 
     def crash(self) -> int:
         """Node died: forget RAM *without* returning memory (the memory
-        container died with the node).  Returns chunks lost."""
+        container died with the node); the disk tier *survives*, so
+        recovery re-admits its chunks by reference instead of
+        re-fetching them from the backend.  Returns chunks lost."""
         n = len(self._ram)
         self._ram.clear()
         self._ram_bytes = 0
@@ -384,52 +419,8 @@ class TieredStore(RamStore):
             disk_bandwidth_bps,
             queue_depth=4,
         )
-        #: key → (chunk, nbytes, stored_bytes) in LRU order.
-        self._disk: "OrderedDict[str, Tuple[Chunk, int, int]]" = OrderedDict()
-        self._disk_bytes = 0
-        self._disk_stored = 0
-        #: Promote/demote single-flight: key → completion event.
-        self._moving: Dict[str, Event] = {}
-
-    # ------------------------------------------------------------- inspection
-    @property
-    def stats(self) -> ChunkStoreStats:
-        s = super().stats
-        s.disk_bytes = self._disk_bytes
-        s.disk_stored_bytes = self._disk_stored
-        s.chunks_disk = len(self._disk)
-        return s
-
-    @property
-    def count(self) -> int:
-        return len(self._ram) + len(self._disk)
-
-    def contains(self, key: str) -> bool:
-        return key in self._ram or key in self._disk
-
-    def tier_of(self, key: str) -> Optional[str]:
-        if key in self._ram:
-            return "ram"
-        if key in self._disk:
-            return "disk"
-        return None
-
-    def nbytes_of(self, key: str) -> int:
-        item = self._ram.get(key)
-        if item is not None:
-            return item[1]
-        entry = self._disk.get(key)
-        return entry[1] if entry is not None else 0
-
-    def chunk_object(self, key: str) -> Optional[Chunk]:
-        item = self._ram.get(key)
-        if item is not None:
-            return item[0]
-        entry = self._disk.get(key)
-        return entry[0] if entry is not None else None
-
-    def keys(self) -> List[str]:
-        return list(self._ram) + list(self._disk)
+        #: Promote/demote single-flight, keyed by chunk key.
+        self._moving = SingleFlight(env)
 
     def stored_size(self, key: str, nbytes: int) -> int:
         """On-disk footprint of a chunk (post-compression when enabled)."""
@@ -489,10 +480,7 @@ class TieredStore(RamStore):
         the chunk landed on, or ``None`` when both tiers refused.
         """
         if self.node.memory.level >= nbytes:
-            yield self.node.memory.get(nbytes)
-            self._ram[key] = (chunk, nbytes)
-            self._ram_bytes += nbytes
-            return "ram"
+            return (yield from self._put_ram(key, chunk, nbytes))
         stored = self.stored_size(key, nbytes)
         if not self._fit_disk(stored, evictable):
             return None
@@ -517,8 +505,8 @@ class TieredStore(RamStore):
         got = self.get(key)
         if got is not None:
             return got
-        while key in self._moving:
-            yield self._moving[key]
+        while (pending := self._moving.waiter(key)) is not None:
+            yield pending
             got = self.get(key)
             if got is not None:
                 return got
@@ -527,8 +515,7 @@ class TieredStore(RamStore):
             return None
         chunk, nbytes, stored = entry
         self._disk.move_to_end(key)
-        done = self.env.event()
-        self._moving[key] = done
+        self._moving.begin(key)
         try:
             t0 = self.env.now
             yield from self.device.read(stored)
@@ -550,8 +537,7 @@ class TieredStore(RamStore):
                                self.env.now - t0, nbytes=nbytes)
             return chunk, nbytes
         finally:
-            del self._moving[key]
-            done.succeed()
+            self._moving.end(key)
 
     def displace(
         self, key: str, evictable=None
@@ -563,7 +549,7 @@ class TieredStore(RamStore):
         tier.  Returns ``"disk"`` (demoted), ``"evicted"`` (no disk
         room) or the tier the racer left the chunk on.
         """
-        pending = self._moving.get(key)
+        pending = self._moving.waiter(key)
         if pending is not None:
             yield pending
             return self.tier_of(key) or "evicted"
@@ -575,16 +561,11 @@ class TieredStore(RamStore):
         if not self._fit_disk(stored, evictable):
             self.drop(key)
             return "evicted"
-        done = self.env.event()
-        self._moving[key] = done
+        self._moving.begin(key)
         try:
             t0 = self.env.now
             yield from self._write_disk(key, chunk, nbytes, stored)
-            item = self._ram.pop(key, None)
-            if item is not None:
-                self._ram_bytes -= nbytes
-                if self.node.alive:
-                    self.node.memory.put(nbytes)
+            self._drop_ram(key)
             self._stats.demotions += 1
             self._stats.bytes_demoted += nbytes
             rec = self.recorder
@@ -593,30 +574,4 @@ class TieredStore(RamStore):
                            self.env.now - t0, nbytes=nbytes)
             return "disk"
         finally:
-            del self._moving[key]
-            done.succeed()
-
-    # ---------------------------------------------------------------- removal
-    def _drop_disk(self, key: str) -> None:
-        entry = self._disk.pop(key, None)
-        if entry is not None:
-            self._disk_bytes -= entry[1]
-            self._disk_stored -= entry[2]
-
-    def drop(self, key: str) -> None:
-        if key in self._ram:
-            super().drop(key)
-        else:
-            self._drop_disk(key)
-
-    def clear(self) -> None:
-        super().clear()
-        self._disk.clear()
-        self._disk_bytes = 0
-        self._disk_stored = 0
-
-    def crash(self) -> int:
-        """Node died: RAM is lost (no memory returned), the disk tier
-        *survives* — recovery warm-admits the survivors by reference
-        instead of re-fetching them from the backend."""
-        return super().crash()
+            self._moving.end(key)

@@ -44,6 +44,7 @@ from repro.errors import (
 )
 from repro.cluster.node import Node
 from repro.sim.engine import Environment, Event, fan_out
+from repro.sim.resources import SingleFlight
 from repro.util.hashing import stable_hash
 from repro.util.ids import sim_id_generator
 from repro.util.pathutil import normalize
@@ -171,10 +172,10 @@ class DieselClient:
         self._shuffle_enabled = False
         self._shuffle_group_size = self.config.shuffle_group_size
         self._group_cache: "OrderedDict[str, Chunk]" = OrderedDict()
-        #: In-flight chunk fetches (single-flight): encoded cid -> Event.
-        #: Shared by demand reads and the prefetch pipeline, so a chunk
-        #: is never transferred twice no matter who asks first.
-        self._inflight: Dict[str, Any] = {}
+        #: In-flight chunk fetches, keyed by encoded cid.  Shared by
+        #: demand reads and the prefetch pipeline, so a chunk is never
+        #: transferred twice no matter who asks first.
+        self._inflight = SingleFlight(env)
         self._prefetcher: Optional["ChunkPrefetcher"] = None
         #: Lazy async ingest sink (only when ingest_pipeline_depth > 1).
         self._ingest: Optional[ChunkPipeline] = None
@@ -363,20 +364,14 @@ class DieselClient:
                 rec.count("read", layer)
             return payload
         # 2. Task-grained distributed cache (one-hop peer fetch), backed
-        #    by the node-level shared chunk tier when one is attached —
-        #    a read can then resolve from a chunk another task admitted.
+        #    by the node chunk tiers — when tasks share them, a read can
+        #    resolve from a chunk another task admitted.
         if record is not None and self._cache is not None:
-            shared_before = (
-                self._cache.shared_hits
-                if self._cache.shared is not None else 0
-            )
+            shared_before = self._cache.shared_hits
             payload = yield from self._cache.read_file(
                 self.as_cache_client(), record
             )
-            if (
-                self._cache.shared is not None
-                and self._cache.shared_hits > shared_before
-            ):
+            if self._cache.shared_hits > shared_before:
                 self.stats.shared_hits += 1
             self.stats.cache_hits += 1
             self.stats.bytes_read += len(payload)
@@ -675,12 +670,11 @@ class DieselClient:
             if chunk is not None:
                 self._group_cache.move_to_end(encoded)
                 return chunk
-            pending = self._inflight.get(encoded)
+            pending = self._inflight.waiter(encoded)
             if pending is not None:
                 yield pending
                 continue  # re-check: hit, or evicted-while-waiting
-            done = self.env.event()
-            self._inflight[encoded] = done
+            self._inflight.begin(encoded)
             self._note_fetch_inflight(len(self._inflight))
             rec = self.recorder
             t0 = self.env.now if rec is not None else 0.0
@@ -703,8 +697,7 @@ class DieselClient:
                 self._admit_chunk(encoded, chunk)
                 self.stats.server_reads += 1
             finally:
-                del self._inflight[encoded]
-                done.succeed()
+                self._inflight.end(encoded)
             if rec is not None:
                 rec.record("chunk_fetch", "server", self.env.now - t0,
                            actor=self.name, chunk=encoded[:12])

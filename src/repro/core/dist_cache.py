@@ -15,16 +15,8 @@ Each DLT task caches *its own* dataset across *its own* worker nodes:
 * any client reaches any file in **one hop** via the owning master, and
   a chunk resident on the reader's *own* master is served as a local
   memory copy (no RPC);
-* concurrent pulls of one chunk coalesce into a single backend fetch
-  (per-master single-flight), and chunks read remotely often enough
-  (``hot_chunk_threshold``) are replicated onto the readers' local
-  masters;
-* with a node-level shared chunk tier attached
-  (:mod:`repro.core.shared_cache`), admissions are reference-counted
-  *across tasks*: a second task registering the same dataset warms from
-  the first task's resident chunks instead of the object store, reads
-  can resolve from chunks other tasks admitted on the reader's node,
-  and per-tenant quotas / QoS classes govern admission;
+* chunks read remotely often enough (``hot_chunk_threshold``) are
+  replicated onto the readers' local masters;
 * cache policies (§4.2): ``oneshot`` prefetches the full partition in the
   background right after registration; ``on-demand`` pulls a chunk the
   first time one of its files misses;
@@ -34,6 +26,21 @@ Each DLT task caches *its own* dataset across *its own* worker nodes:
   re-partitions over the survivors and re-streams whole chunks, which is
   why Fig 11b's DIESEL reload is so much faster than a per-file cache
   fill.
+
+Residency has one path.  A master holds *references*; the chunks live
+in its node's chunk tier (:class:`~repro.core.shared_cache.SharedChunkCache`),
+which admits, single-flights, places (RAM, or RAM+NVMe) and frees them.
+A task given a :class:`~repro.core.shared_cache.SharedCacheRegistry`
+shares those tiers with other tasks: a second task on the same dataset
+warms from the first task's resident chunks, reads can resolve from a
+chunk another task admitted on the reader's node, and per-tenant
+quotas and QoS classes govern admission.  A task built without one
+creates a RAM registry that only it uses, so the same code runs with
+one task.
+
+A read resolves along one ordered chain (:meth:`TaskCache.read_file`):
+own master RAM → own master disk → another task's copy on the reader's
+node → owning peer (hedged or retried when configured) → server.
 """
 
 from __future__ import annotations
@@ -45,12 +52,7 @@ from repro.calibration import Calibration, DEFAULT
 from repro.core.meta import FileRecord
 from repro.core.server import DieselServer
 from repro.core.chunk import Chunk
-from repro.core.chunk_store import (
-    DEFAULT_DISK_BANDWIDTH_BPS,
-    DEFAULT_DISK_LATENCY_S,
-    make_spec,
-    make_store,
-)
+from repro.core.shared_cache import SharedCacheRegistry, SharedChunkCache
 from repro.errors import (
     CachePeerDownError,
     CircuitOpenError,
@@ -63,6 +65,10 @@ from repro.cluster.node import Node
 from repro.rpc.connections import ConnectionTable
 from repro.rpc.endpoint import RpcEndpoint
 from repro.sim.engine import Environment, Event, fan_out
+
+#: What a read resolver hands back when it served the read: the payload
+#: and the layer that served it (published as ``last_resolution``).
+Resolved = Tuple[bytes, str]
 
 
 @dataclass(frozen=True)
@@ -87,8 +93,8 @@ class CacheMasterStats:
     #: Most chunk pulls ever concurrently in flight on this master
     #: (stays 0/1 with ``warmup_fanout`` at its serial default).
     pull_inflight_hwm: int = 0
-    #: Pull requests that joined an in-flight backend fetch instead of
-    #: issuing their own (the per-master single-flight map).
+    #: Pull requests that joined an in-flight fetch of the node's tier
+    #: instead of issuing their own.
     coalesced_pulls: int = 0
     #: Hot chunks replicated onto this master from another owner's
     #: partition (read-skew mitigation).
@@ -115,11 +121,11 @@ class TaskCacheStats:
     local_hits: int = 0
     #: Cache hits that paid the one-hop peer RPC.
     remote_hits: int = 0
-    #: Reads served node-locally from the shared chunk tier — a chunk
-    #: another task admitted (cross-task hit; 0 without a shared tier).
+    #: Reads served node-locally from a chunk another task admitted on
+    #: the reader's node (cross-task hit; 0 unless tasks share a tier).
     shared_hits: int = 0
     #: Reads served from the node-local *disk* tier (device read +
-    #: optional decompress; 0 without ``cache_store="tiered"``).
+    #: optional decompress; 0 unless the tier uses the tiered store).
     disk_hits: int = 0
     #: Reads served by the server because the owning peer was down.
     degraded_reads: int = 0
@@ -146,7 +152,12 @@ class TaskCacheStats:
 
 
 class CacheMaster:
-    """The master client on one node: holds a chunk partition in memory."""
+    """The master client on one node: holds its task's chunk partition.
+
+    The chunks themselves live in the node's chunk tier; the master
+    records the references its task holds there (``_held``: encoded
+    cid → nbytes) and serves peers from them.
+    """
 
     def __init__(
         self,
@@ -156,7 +167,10 @@ class CacheMaster:
         server: DieselServer,
         dataset: str,
         calibration: Calibration,
-        store_spec: Optional[dict] = None,
+        tier: SharedChunkCache,
+        task_key: str,
+        tenant: str = "default",
+        qos_class: str = "batch",
     ) -> None:
         self.env = env
         self.client = client
@@ -165,25 +179,17 @@ class CacheMaster:
         self.dataset = dataset
         self.cal = calibration
         self.assigned: List[str] = []  # encoded chunk ids
-        #: Private chunk residency (RAM or RAM+disk tiers, see
-        #: :mod:`repro.core.chunk_store`).  Unused once a shared tier
-        #: is attached — residency then lives in the node's
-        #: SharedChunkCache store and this master only tracks the
-        #: references it holds (``_held``: encoded cid → nbytes).
-        self.store = make_store(env, client.node, store_spec)
+        #: The node's chunk tier, which owns admission and residency;
+        #: ``task_key`` is the reference this master's task holds there,
+        #: ``tenant`` / ``qos_class`` govern quota and eviction priority.
+        self.tier = tier
+        self.task_key = task_key
+        self.tenant = tenant
+        self.qos_class = qos_class
         self._held: Dict[str, int] = {}
-        #: Single-flight map: encoded cid -> completion event of the
-        #: backend fetch currently streaming that chunk.
-        self._pull_inflight: Dict[str, Event] = {}
         self.stats = CacheMasterStats()
-        #: Node-level shared chunk tier (None = private chunks, the
-        #: legacy mode).  When attached, admission/eviction/memory are
-        #: owned by the shared tier (see ``attach_shared``).
-        self.shared = None
-        self._shared_task = ""
-        self._shared_tenant = "default"
-        self._shared_qos = "batch"
-        self._recorder = None
+        #: Attached observability recorder (propagated by TaskCache).
+        self.recorder = None
         self.endpoint = RpcEndpoint(
             env,
             fabric,
@@ -198,86 +204,26 @@ class CacheMaster:
     def up(self) -> bool:
         return self.endpoint.up
 
-    @property
-    def recorder(self):
-        """Attached observability recorder (propagated by TaskCache)."""
-        return self._recorder
-
-    @recorder.setter
-    def recorder(self, value) -> None:
-        self._recorder = value
-        self.store.recorder = value
-
-    def attach_shared(
-        self, shared, task: str, tenant: str, qos_class: str
-    ) -> None:
-        """Route this master's admissions through a node-level
-        :class:`~repro.core.shared_cache.SharedChunkCache`.
-
-        ``task`` is the registry-issued task key the shared tier
-        refcounts under; ``tenant`` / ``qos_class`` govern its quota
-        charging and eviction priority.  Must be called before any
-        chunk is pulled (the two admission modes do not mix).
-        """
-        if self._held or self.store.count:
-            raise DieselError("attach_shared before any chunk is cached")
-        self.shared = shared
-        self._shared_task = task
-        self._shared_tenant = tenant
-        self._shared_qos = qos_class
-
     def has_chunk(self, encoded_cid: str) -> bool:
-        if self.shared is not None:
-            return encoded_cid in self._held
-        return self.store.contains(encoded_cid)
+        return encoded_cid in self._held
 
     @property
     def cached_chunk_count(self) -> int:
-        if self.shared is not None:
-            return len(self._held)
-        return self.store.count
+        return len(self._held)
 
-    def _shared_peek(self, encoded_cid: str, path: str) -> Optional[bytes]:
-        """Serve a file from the shared tier's warm pool (another task's
-        resident chunk) when this task's own reference set misses."""
-        if self.shared is None:
-            return None
-        chunk = self.shared.peek(self.dataset, encoded_cid)
-        if chunk is None or path not in chunk:
-            return None
-        self.shared.note_cross_task_read()
-        return chunk.payload(path, verify=False)
+    def hold(self, encoded_cid: str, nbytes: int) -> None:
+        """Record a reference the tier granted this master's task."""
+        self._held[encoded_cid] = nbytes
+        self.stats.chunks_loaded += 1
+        self.stats.bytes_cached += nbytes
 
     def _ram_chunk(self, encoded_cid: str) -> Optional[Chunk]:
         """This master's RAM-resident copy of a chunk (free to read);
         ``None`` when absent — or resident on the disk tier only, which
-        must charge a device read (:meth:`_read_resident`)."""
-        if self.shared is not None:
-            if encoded_cid not in self._held:
-                return None
-            return self.shared.peek(self.dataset, encoded_cid)
-        got = self.store.get(encoded_cid)
-        return got[0] if got is not None else None
-
-    def _disk_resident(self, encoded_cid: str) -> bool:
-        """Whether a resident chunk lives on the disk tier only."""
-        if self.shared is not None:
-            return self.shared.disk_resident(self.dataset, encoded_cid)
-        return self.store.tier_of(encoded_cid) == "disk"
-
-    def _read_resident(
-        self, encoded_cid: str
-    ) -> Generator[Event, Any, Optional[Chunk]]:
-        """Cost-charging read of a resident chunk on any tier (disk
-        reads pay the device + decompress cost and promote when node
-        memory allows)."""
-        if self.shared is not None:
-            chunk = yield from self.shared.read_resident(
-                self.dataset, encoded_cid
-            )
-            return chunk
-        got = yield from self.store.load(encoded_cid)
-        return got[0] if got is not None else None
+        must charge a device read (:meth:`_get_file_tiered`)."""
+        if encoded_cid not in self._held:
+            return None
+        return self.tier.peek(self.dataset, encoded_cid)
 
     def _get_file_tiered(
         self, encoded_cid: str, path: str
@@ -285,28 +231,34 @@ class CacheMaster:
         """Serve a remote ``get_file`` from a disk-resident chunk: the
         endpoint runs this generator so the caller's RPC charges the
         disk read (Fig 4's chain gains a tier between RAM and server)."""
-        chunk = yield from self._read_resident(encoded_cid)
+        chunk = yield from self.tier.read_resident(self.dataset, encoded_cid)
         if chunk is None or path not in chunk:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
         return chunk.payload(path, verify=False)
 
-    def _handle(self, method: str, *args: Any) -> Any:
-        if method == "get_file":
-            encoded_cid, path = args
-            chunk = self._ram_chunk(encoded_cid)
-            if chunk is None or path not in chunk:
-                if self._disk_resident(encoded_cid):
-                    return self._get_file_tiered(encoded_cid, path)
-                payload = self._shared_peek(encoded_cid, path)
-                if payload is not None:
-                    self.stats.hits += 1
-                    return payload
-                self.stats.misses += 1
-                return None
+    def _get_file(self, encoded_cid: str, path: str) -> Any:
+        """Serve one file to a peer: own RAM copy, the node's disk tier,
+        then (in a tier shared across tasks) another task's RAM copy."""
+        chunk = self._ram_chunk(encoded_cid)
+        if chunk is not None and path in chunk:
             self.stats.hits += 1
             return chunk.payload(path, verify=False)
+        if self.tier.disk_resident(self.dataset, encoded_cid):
+            return self._get_file_tiered(encoded_cid, path)
+        if self.tier.registry.owner is None:
+            chunk = self.tier.peek(self.dataset, encoded_cid)
+            if chunk is not None and path in chunk:
+                self.tier.note_cross_task_read()
+                self.stats.hits += 1
+                return chunk.payload(path, verify=False)
+        self.stats.misses += 1
+        return None
+
+    def _handle(self, method: str, *args: Any) -> Any:
+        if method == "get_file":
+            return self._get_file(*args)
         if method == "has_chunk":
             return self.has_chunk(args[0])
         if method == "pull_chunk":
@@ -326,14 +278,14 @@ class CacheMaster:
         chunk = self._ram_chunk(encoded_cid)
         if chunk is not None:
             return chunk.encode()
-        if self._disk_resident(encoded_cid):
+        if self.tier.disk_resident(self.dataset, encoded_cid):
             return self._serve_chunk_tiered(encoded_cid)
         return None
 
     def _serve_chunk_tiered(
         self, encoded_cid: str
     ) -> Generator[Event, Any, Optional[bytes]]:
-        chunk = yield from self._read_resident(encoded_cid)
+        chunk = yield from self.tier.read_resident(self.dataset, encoded_cid)
         return chunk.encode() if chunk is not None else None
 
     def admit_from_peer(
@@ -342,60 +294,16 @@ class CacheMaster:
         """Warm-admit one chunk, preferring a peer master over the backend.
 
         The elastic-membership pull: a new master warming its share, or
-        a successor draining a departing master, fetches the chunk from
-        ``donor`` (which still holds it) instead of re-reading the
-        object store; the backend is only the fallback.  Single-flight
-        via the same in-flight map as backend pulls, so a concurrent
-        warmup or on-demand fill of the chunk coalesces.
-
-        In shared-tier mode, admission must stay refcounted in the node
-        tier, so the pull is delegated to :meth:`_pull_chunk` — the
-        shared tier already warm-admits from any task's resident copy.
+        a successor draining a departing master, has the tier fetch the
+        chunk from ``donor`` (which still holds it) instead of
+        re-reading the object store; the backend is only the fallback.
+        A chunk already resident in this node's tier is a warm ref-bump.
         Returns ``(cached, from_peer)``.
         """
         if self.has_chunk(encoded_cid):
             return True, False
-        if self.shared is not None:
-            cached = yield from self._pull_chunk(encoded_cid)
-            return cached, False
-        pending = self._pull_inflight.get(encoded_cid)
-        if pending is not None:
-            self.stats.coalesced_pulls += 1
-            yield pending
-            return self.has_chunk(encoded_cid), False
-        done = self.env.event()
-        self._pull_inflight[encoded_cid] = done
-        try:
-            blob = None
-            if donor is not None and donor.up:
-                try:
-                    blob = yield from donor.endpoint.call(
-                        self.node, "get_chunk", encoded_cid,
-                        response_bytes=None,
-                    )
-                except (NodeDownError, CachePeerDownError):
-                    blob = None
-            from_peer = blob is not None
-            if blob is None:
-                blob = yield from self.server.call(
-                    self.node,
-                    "get_chunk",
-                    self.dataset,
-                    encoded_cid,
-                    response_bytes=None,
-                )
-            tier = yield from self.store.put(
-                encoded_cid, Chunk.decode(blob), len(blob)
-            )
-            if tier is None:
-                self.stats.skipped_no_memory += 1
-                return False, from_peer
-            self.stats.chunks_loaded += 1
-            self.stats.bytes_cached += len(blob)
-            return True, from_peer
-        finally:
-            del self._pull_inflight[encoded_cid]
-            done.succeed()
+        got = yield from self.tier.acquire(self, encoded_cid, donor)
+        return self.has_chunk(encoded_cid), got is not None and got[1] == "peer"
 
     def local_payload(self, encoded_cid: str, path: str) -> Optional[bytes]:
         """Serve one file from a RAM-resident chunk without an RPC.
@@ -405,8 +313,8 @@ class CacheMaster:
         intra-node memory-copy cost itself.  Returns ``None`` when the
         chunk is absent, the file is not in it, or the chunk sits on
         the disk tier (a free peek must not hide a disk read — the
-        caller's tiered path charges it) — the caller then takes the
-        regular one-hop/fall-through route.
+        caller's disk resolver charges it) — the caller then takes the
+        next resolver in the chain.
         """
         chunk = self._ram_chunk(encoded_cid)
         if chunk is None or path not in chunk:
@@ -415,142 +323,39 @@ class CacheMaster:
         return chunk.payload(path, verify=False)
 
     def _pull_chunk(self, encoded_cid: str) -> Generator[Event, Any, bool]:
-        """Fetch one chunk from the server into memory (single-flight).
+        """Admit one chunk through the node's tier (single-flight).
 
         Concurrent pulls of the same chunk — n clients faulting it at
-        once, warmup racing an on-demand fill, a hot-chunk replication —
-        coalesce onto one backend fetch: late arrivals wait on the
-        in-flight event and are counted as ``coalesced_pulls``.
+        once, warmup racing an on-demand fill, a hot-chunk replication,
+        another task — coalesce onto one backend fetch; late arrivals
+        are counted as ``coalesced_pulls``.
 
         The cache aggregates the node's *free* memory (§4.2): a chunk is
         only cached if the node's memory budget covers it; otherwise it
         stays server-resident (reads for it fall through, Fig 4) and the
         skip is counted.  Returns whether the chunk is now cached.
-
-        With a shared tier attached the admission is delegated: the
-        tier owns single-flight (cross-task), memory and eviction; this
-        master just records the reference it was granted.
         """
         if self.has_chunk(encoded_cid):
             return True
-        if self.shared is not None:
-            held = yield from self.shared.acquire(self, encoded_cid)
-            if held is None:
-                self.stats.skipped_no_memory += 1
-                return False
-            _, nbytes = held
-            self._held[encoded_cid] = nbytes
-            self.stats.chunks_loaded += 1
-            self.stats.bytes_cached += nbytes
-            return True
-        pending = self._pull_inflight.get(encoded_cid)
-        if pending is not None:
-            self.stats.coalesced_pulls += 1
-            yield pending
-            return self.has_chunk(encoded_cid)
-        done = self.env.event()
-        self._pull_inflight[encoded_cid] = done
-        try:
-            blob = yield from self.server.call(
-                self.node,
-                "get_chunk",
-                self.dataset,
-                encoded_cid,
-                response_bytes=None,  # sized from the returned bytes
-            )
-            tier = yield from self.store.put(
-                encoded_cid, Chunk.decode(blob), len(blob)
-            )
-            if tier is None:
-                self.stats.skipped_no_memory += 1
-                return False
-            self.stats.chunks_loaded += 1
-            self.stats.bytes_cached += len(blob)
-            return True
-        finally:
-            del self._pull_inflight[encoded_cid]
-            done.succeed()
-
-    def _pull_chunks_batched(
-        self, cids: Sequence[str]
-    ) -> Generator[Event, Any, int]:
-        """Pull a group of chunks with one vectorized server admission.
-
-        The whole group rides a single :meth:`DieselServer.call_batch`
-        — one scheduler entry per RPC phase for the batch instead of
-        per chunk — while keeping :meth:`_pull_chunk` semantics: the
-        single-flight map still coalesces concurrent pulls per chunk,
-        memory-skipped chunks stay server-resident, and the same stats
-        counters move.  Returns how many of ``cids`` are now cached.
-        """
-        if self.shared is not None:
-            missing = [c for c in cids if c not in self._held]
-            held = yield from self.shared.acquire_batch(self, missing)
-            for cid, (_, nbytes) in held.items():
-                self._held[cid] = nbytes
-                self.stats.chunks_loaded += 1
-                self.stats.bytes_cached += nbytes
-            self.stats.skipped_no_memory += len(missing) - len(held)
-            return len(cids) - len(missing) + len(held)
-        cached = 0
-        fetch: List[str] = []
-        dones: List[Event] = []
-        waits: List[Tuple[str, Event]] = []
-        for cid in cids:
-            if self.store.contains(cid):
-                cached += 1
-                continue
-            pending = self._pull_inflight.get(cid)
-            if pending is not None:
-                self.stats.coalesced_pulls += 1
-                waits.append((cid, pending))
-                continue
-            done = self.env.event()
-            self._pull_inflight[cid] = done
-            fetch.append(cid)
-            dones.append(done)
-        try:
-            if fetch:
-                blobs = yield from self.server.call_batch(
-                    self.node,
-                    [("get_chunk", self.dataset, cid) for cid in fetch],
-                )
-                for cid, blob in zip(fetch, blobs):
-                    tier = yield from self.store.put(
-                        cid, Chunk.decode(blob), len(blob)
-                    )
-                    if tier is None:
-                        self.stats.skipped_no_memory += 1
-                        continue
-                    self.stats.chunks_loaded += 1
-                    self.stats.bytes_cached += len(blob)
-                    cached += 1
-        finally:
-            for cid, done in zip(fetch, dones):
-                del self._pull_inflight[cid]
-                done.succeed()
-        for cid, pending in waits:
-            yield pending
-            cached += self.store.contains(cid)
-        return cached
-
-    def _pull_group(self, cids: Sequence[str]) -> Generator[Event, Any, int]:
-        """One fan-out worker over a chunk group (see ``_pull_one``)."""
-        if not self.node.alive:
-            return 0
-        cached = yield from self._pull_chunks_batched(cids)
-        return cached
+        yield from self.tier.acquire(self, encoded_cid)
+        return self.has_chunk(encoded_cid)
 
     def _note_pull_inflight(self, n: int) -> None:
         if n > self.stats.pull_inflight_hwm:
             self.stats.pull_inflight_hwm = n
 
+    def _pull_group(self, cids: Sequence[str]) -> Generator[Event, Any, int]:
+        """One fan-out worker: admit a chunk group with one vectorized
+        server call, unless the node died."""
+        if not self.node.alive:
+            return 0
+        return (yield from self.tier.acquire_batch(self, cids))
+
     def _pull_one(self, encoded_cid: str) -> Generator[Event, Any, bool]:
         """One fan-out worker: pull a chunk unless the node died."""
         if not self.node.alive:
             return False
-        cached = yield from self._pull_chunk(encoded_cid)
-        return cached
+        return (yield from self._pull_chunk(encoded_cid))
 
     def _stream(
         self, cids: Sequence[str], fanout: int, batch: int, name: str
@@ -558,9 +363,9 @@ class CacheMaster:
         """Pull ``cids`` with ``fanout`` concurrent streams of batches of
         ``batch`` chunks — the shared engine behind warmup and recovery.
 
-        ``fanout=1, batch=1`` is the legacy serial chunk-by-chunk
-        stream; ``batch>1`` admits each group as one vectorized server
-        call (:meth:`_pull_chunks_batched`).
+        ``fanout=1, batch=1`` is the serial chunk-by-chunk stream;
+        ``batch>1`` admits each group as one vectorized server call
+        (:meth:`~repro.core.shared_cache.SharedChunkCache.acquire_batch`).
         """
         if batch <= 1:
             if fanout <= 1:
@@ -585,7 +390,7 @@ class CacheMaster:
             for group in groups:
                 if not self.node.alive:
                     break
-                loaded += yield from self._pull_chunks_batched(group)
+                loaded += yield from self.tier.acquire_batch(self, group)
             return loaded
         results = yield from fan_out(
             self.env,
@@ -601,11 +406,10 @@ class CacheMaster:
     ) -> Generator[Event, Any, int]:
         """Oneshot policy: stream every assigned chunk from the server.
 
-        ``fanout`` bounds how many pulls this master keeps in flight
-        (``DieselConfig.warmup_fanout``); 1 is the legacy serial stream.
-        ``batch`` groups pulls into vectorized server admissions
-        (``DieselConfig.admission_batch``).  Returns the number of
-        chunks actually cached (memory-skipped chunks do not count).
+        ``fanout`` bounds how many pulls this master keeps in flight; 1
+        is the serial stream.  ``batch`` groups pulls into vectorized
+        server admissions.  Returns the number of chunks actually
+        cached (memory-skipped chunks do not count).
         """
         rec = self.recorder
         t0 = self.env.now if rec is not None else 0.0
@@ -634,17 +438,14 @@ class CacheMaster:
         return reloaded
 
     def drop_all(self) -> None:
-        """Release all cached chunks and return their memory.
+        """Release every reference this master's task holds on the node.
 
-        In shared mode, "release" means dropping this task's references
-        — the chunks stay resident as the tier's warm pool (memory is
-        reclaimed by shared-tier eviction, not here).
+        In a tier shared across tasks the chunks stay resident as the
+        warm pool (eviction reclaims their memory); a tier the task owns
+        frees them and returns their memory.
         """
-        if self.shared is not None:
-            self.shared.release_task(self._shared_task, self._shared_tenant)
-            self._held.clear()
-            return
-        self.store.clear()
+        self.tier.release_task(self.task_key, self.tenant)
+        self._held.clear()
 
 
 class TaskCache:
@@ -668,11 +469,6 @@ class TaskCache:
         shared=None,
         tenant: str = "default",
         qos_class: str = "batch",
-        cache_store: str = "ram",
-        disk_tier_bytes: int = 0,
-        disk_latency_s: Optional[float] = None,
-        disk_bandwidth_bps: Optional[float] = None,
-        chunk_compression: bool = False,
     ) -> None:
         if not clients:
             raise DieselError("a task cache needs at least one client")
@@ -693,23 +489,6 @@ class TaskCache:
         names = [c.name for c in clients]
         if len(set(names)) != len(names):
             raise DieselError("client names must be unique")
-        try:
-            #: Chunk-residency spec for this task's *private* masters
-            #: (``cache_store="tiered"`` overflows/demotes cold chunks
-            #: to a simulated node-local NVMe tier instead of leaving
-            #: them server-resident).  With a shared tier attached the
-            #: per-node store comes from the registry's spec instead.
-            self.store_spec = make_spec(
-                cache_store,
-                disk_tier_bytes,
-                DEFAULT_DISK_LATENCY_S if disk_latency_s is None
-                else disk_latency_s,
-                DEFAULT_DISK_BANDWIDTH_BPS if disk_bandwidth_bps is None
-                else disk_bandwidth_bps,
-                chunk_compression,
-            )
-        except ValueError as exc:
-            raise DieselError(str(exc)) from None
         self.env = env
         self.fabric = fabric
         self.server = server
@@ -724,29 +503,29 @@ class TaskCache:
         self.hot_chunk_threshold = hot_chunk_threshold
         self.cal = calibration
         self.fallback_to_server = fallback_to_server
-        #: Per-master chunk-pull concurrency for warmup and recovery
-        #: (``DieselConfig.warmup_fanout``); masters always run
-        #: concurrently with each other, this bounds each stream.
+        #: Per-master chunk-pull concurrency for warmup and recovery;
+        #: masters always run concurrently with each other, this bounds
+        #: each stream.
         self.warmup_fanout = warmup_fanout
         #: Chunk pulls admitted per vectorized server call during warmup
-        #: and recovery (``DieselConfig.admission_batch``); 1 = one RPC
-        #: per chunk (legacy).
+        #: and recovery; 1 = one RPC per chunk.
         self.admission_batch = admission_batch
-        #: Node-level shared chunk tier registry
-        #: (:class:`~repro.core.shared_cache.SharedCacheRegistry`);
-        #: None keeps the legacy task-private cache.  ``tenant`` names
-        #: the quota account this task's resident bytes charge;
-        #: ``qos_class`` sets its admission priority at the shared tier
+        #: Registry of the node chunk tiers every admission goes through
+        #: (:class:`~repro.core.shared_cache.SharedCacheRegistry`).
+        #: Without one the task creates and owns a RAM registry of its
+        #: own.  ``tenant`` names the quota account this task's resident
+        #: bytes charge; ``qos_class`` sets its admission priority
         #: (interactive admissions may evict the batch warm pool, not
         #: vice versa).
-        self.shared = shared
+        self.shared = shared or SharedCacheRegistry(env)
+        self._owns_tier = self.shared is not shared
         self.tenant = tenant
         self.qos_class = qos_class
-        #: Registry-issued key the shared tier refcounts this task
-        #: under (assigned at register()).
+        #: Registry-issued key the tiers refcount this task under
+        #: (assigned at register()).
         self.task_key: Optional[str] = None
-        #: Reads served node-locally from the shared tier — a chunk
-        #: another task admitted (the cross-task hit path).
+        #: Reads served node-locally from a chunk another task admitted
+        #: (the cross-task hit path; always 0 in an owned tier).
         self.shared_hits = 0
         #: Reads served from the node-local disk tier (tiered store).
         self.disk_hits = 0
@@ -797,6 +576,13 @@ class TaskCache:
         self._hedged_call = None
         self.peer_latency = None
         self.hedge_stats = None
+        #: The read chain, in Fig 4 order (see :meth:`read_file`).
+        self._resolvers = (
+            self._from_own_master,
+            self._from_other_task,
+            self._from_peer,
+            self._from_server,
+        )
         #: Which layer served the most recent read_file — published for
         #: the client's span attribution (only updated while a recorder
         #: is attached, so the bare hot path stays untouched).
@@ -834,8 +620,11 @@ class TaskCache:
 
     @recorder.setter
     def recorder(self, value) -> None:
-        """Propagate the recorder to every cache master and its endpoint."""
+        """Propagate the recorder to every cache master and its endpoint
+        (and to the tiers, when this task owns them)."""
         self._recorder = value
+        if self._owns_tier:
+            self.shared.recorder = value
         for m in self.masters.values():
             m.recorder = value
             m.endpoint.recorder = value
@@ -950,29 +739,11 @@ class TaskCache:
             leader.node, "register", self.dataset, leader.name,
             self.tenant, self.qos_class,
         )
-        # Master election: lowest rank per physical node (§4.2).
-        by_node: Dict[str, CacheClient] = {}
-        for c in self.clients:
-            cur = by_node.get(c.node.name)
-            if cur is None or (c.rank, c.name) < (cur.rank, cur.name):
-                by_node[c.node.name] = c
-        if self.shared is not None:
-            self.task_key = self.shared.next_task_id()
-        for node_name in sorted(by_node):
-            elected = by_node[node_name]
-            master = CacheMaster(
-                self.env, self.fabric, elected, self.server, self.dataset,
-                self.cal, store_spec=self.store_spec,
-            )
-            if self.shared is not None:
-                master.attach_shared(
-                    self.shared.for_node(elected.node),
-                    self.task_key, self.tenant, self.qos_class,
-                )
-            if self._recorder is not None:
-                master.recorder = self._recorder
-                master.endpoint.recorder = self._recorder
-            self.masters[node_name] = master
+        self.task_key = self.shared.next_task_id()
+        if self._owns_tier:
+            self.shared.owner = self.task_key
+        self.masters.clear()
+        self._elect_masters(self.clients)
         # Deterministic chunk partitioning over sorted masters.
         master_list = [self.masters[k] for k in sorted(self.masters)]
         chunk_ids = summary["chunk_ids"]
@@ -999,6 +770,34 @@ class TaskCache:
                 self._prefetch_procs.append(proc)
         self._registered = True
         return summary
+
+    def _elect_masters(
+        self, clients: Sequence[CacheClient]
+    ) -> List[CacheMaster]:
+        """Elect a master on every node of ``clients`` that has none:
+        the lowest rank per physical node (§4.2), wired to the node's
+        tier under this task.  Returns the new masters, by node name."""
+        by_node: Dict[str, CacheClient] = {}
+        for c in clients:
+            if c.node.name in self.masters:
+                continue
+            cur = by_node.get(c.node.name)
+            if cur is None or (c.rank, c.name) < (cur.rank, cur.name):
+                by_node[c.node.name] = c
+        elected = []
+        for node_name in sorted(by_node):
+            client = by_node[node_name]
+            master = CacheMaster(
+                self.env, self.fabric, client, self.server, self.dataset,
+                self.cal, self.shared.for_node(client.node),
+                self.task_key, self.tenant, self.qos_class,
+            )
+            if self._recorder is not None:
+                master.recorder = self._recorder
+                master.endpoint.recorder = self._recorder
+            self.masters[node_name] = master
+            elected.append(master)
+        return elected
 
     def _partition_locality(
         self,
@@ -1072,13 +871,13 @@ class TaskCache:
         return total
 
     def deregister(self) -> int:
-        """Tear the task down: drop every cached chunk (or, with a
-        shared tier, every shared-tier reference this task holds).
+        """Tear the task down: drop every tier reference this task holds.
 
-        Safe mid-epoch: chunks this task admitted stay resident in the
-        shared tier's warm pool at refcount 0, so concurrent tasks keep
-        hitting them and a later task re-warms instead of re-fetching.
-        Returns the number of chunks that were held.
+        Safe mid-epoch: in tiers shared across tasks, chunks this task
+        admitted stay resident in the warm pool at refcount 0, so
+        concurrent tasks keep hitting them and a later task re-warms
+        instead of re-fetching; an owned tier frees them.  Returns the
+        number of chunks that were held.
         """
         if not self._registered:
             raise DieselError("task cache not registered")
@@ -1123,107 +922,113 @@ class TaskCache:
     def read_file(
         self, client: CacheClient, record: FileRecord
     ) -> Generator[Event, Any, bytes]:
-        """Read one file through the cache (one-hop peer fetch).
+        """Read one file through the cache, along Fig 4's chain.
 
-        Miss and peer-failure behaviour follows Fig 4: the file read falls
-        through to the DIESEL server; under ``on-demand`` the owning
-        master pulls the chunk in the background so later reads hit.
+        Each resolver either declines (``None``) or returns a generator
+        that serves the read — or, for the tiers, finds the chunk gone
+        and declines after all.  In order: own master RAM → own master
+        disk → another task's copy on the reader's node → owning peer
+        (one hop; hedged or retried when configured) → server.  Under
+        ``on-demand`` a miss at the owning peer also kicks a background
+        chunk pull so later reads hit.
         """
         if not self._registered:
             raise DieselError("task cache not registered")
-        rec = self._recorder
-        t0 = self.env.now if rec is not None else 0.0
+        t0 = self.env.now
         encoded_cid = record.chunk_id.encode()
         master = self.owner_of(encoded_cid)
-        # Node-local fast path: the reader's own master holds the chunk
-        # (its locality partition, or a hot-chunk replica) — serve it as
-        # an intra-node memory copy, no RPC hop at all.
-        local = self.masters.get(client.node.name)
-        serving = master
-        if (
-            local is not None
-            and local is not master
-            and local.up
-            and local.has_chunk(encoded_cid)
+        for resolve in self._resolvers:
+            step = resolve(client, master, encoded_cid, record)
+            if step is not None:
+                got = yield from step
+                if got is not None:
+                    break
+        payload, layer = got
+        rec = self._recorder
+        if rec is not None:
+            self.last_resolution = layer
+            rec.record("cache_read", layer, self.env.now - t0,
+                       actor=client.name, path=record.path)
+        return payload
+
+    def _copy_local(
+        self, payload: bytes, layer: str
+    ) -> Generator[Event, Any, Resolved]:
+        """Charge the intra-node memory copy of a node-local payload."""
+        yield self.env.timeout(
+            self.fabric.local_latency_s
+            + len(payload) / self.fabric.local_bandwidth_bps
+        )
+        return payload, layer
+
+    def _from_own_master(self, client, master, encoded_cid, record):
+        """The up master on the reader's node, when it owns the chunk or
+        holds a copy (its locality partition, or a hot-chunk replica):
+        its RAM copy, else its disk-tier copy."""
+        own = self.masters.get(client.node.name)
+        if own is None or not own.up:
+            return None
+        if own is not master and not own.has_chunk(encoded_cid):
+            return None
+        payload = own.local_payload(encoded_cid, record.path)
+        if payload is not None:
+            self.local_hits += 1
+            return self._copy_local(payload, "local_master")
+        if own.has_chunk(encoded_cid) and own.tier.disk_resident(
+            self.dataset, encoded_cid
         ):
-            serving = local
-        if serving.node is client.node and serving.up:
-            payload = serving.local_payload(encoded_cid, record.path)
-            if payload is not None:
-                self.local_hits += 1
-                yield self.env.timeout(
-                    self.fabric.local_latency_s
-                    + len(payload) / self.fabric.local_bandwidth_bps
-                )
-                if rec is not None:
-                    self.last_resolution = "local_master"
-                    rec.record("cache_read", "local_master",
-                               self.env.now - t0, actor=client.name,
-                               path=record.path)
-                return payload
-            # Disk-tier fast path: the chunk is resident on the node's
-            # own master but demoted/overflowed to the simulated NVMe
-            # tier — serve it for a device read (+ decompress), still
-            # cheaper than a backend fetch, promoting when memory
-            # allows.
-            if self.shared is None and serving._disk_resident(encoded_cid):
-                chunk = yield from serving._read_resident(encoded_cid)
-                if chunk is not None and record.path in chunk:
-                    payload = chunk.payload(record.path, verify=False)
-                    serving.stats.hits += 1
-                    self.disk_hits += 1
-                    yield self.env.timeout(
-                        self.fabric.local_latency_s
-                        + len(payload) / self.fabric.local_bandwidth_bps
-                    )
-                    if rec is not None:
-                        self.last_resolution = "disk_tier"
-                        rec.record("cache_read", "disk_tier",
-                                   self.env.now - t0, actor=client.name,
-                                   path=record.path)
-                    return payload
-        # Shared-tier fast path: a chunk some *other* task admitted on
-        # the reader's node serves this read as a node-local memory copy
-        # — the cross-task hit that makes N tasks × 1 dataset cheap.
-        if self.shared is not None and client.node.alive:
-            tier = self.shared.for_node(client.node)
-            chunk = tier.peek(self.dataset, encoded_cid)
-            if chunk is not None and record.path in chunk:
-                payload = chunk.payload(record.path, verify=False)
-                tier.note_cross_task_read()
-                self.shared_hits += 1
-                yield self.env.timeout(
-                    self.fabric.local_latency_s
-                    + len(payload) / self.fabric.local_bandwidth_bps
-                )
-                if rec is not None:
-                    self.last_resolution = "shared_tier"
-                    rec.record("cache_read", "shared_tier",
-                               self.env.now - t0, actor=client.name,
-                               path=record.path)
-                return payload
-            # Shared-tier *disk* hit: the chunk is resident on this
-            # node but demoted to the NVMe tier — pay the device read
-            # (+ decompress, + promote when memory allows) instead of
-            # a backend round-trip.
-            if tier.disk_resident(self.dataset, encoded_cid):
-                chunk = yield from tier.read_resident(
-                    self.dataset, encoded_cid
-                )
-                if chunk is not None and record.path in chunk:
-                    payload = chunk.payload(record.path, verify=False)
-                    tier.note_cross_task_read()
-                    self.disk_hits += 1
-                    yield self.env.timeout(
-                        self.fabric.local_latency_s
-                        + len(payload) / self.fabric.local_bandwidth_bps
-                    )
-                    if rec is not None:
-                        self.last_resolution = "disk_tier"
-                        rec.record("cache_read", "disk_tier",
-                                   self.env.now - t0, actor=client.name,
-                                   path=record.path)
-                    return payload
+            return self._read_disk(own.tier, encoded_cid, record, own)
+        return None
+
+    def _from_other_task(self, client, master, encoded_cid, record):
+        """A chunk another task admitted on the reader's node — the
+        cross-task hit that makes N tasks × 1 dataset cheap.  Never in
+        an owned tier: every chunk there is this task's own."""
+        if self.shared.owner is not None or not client.node.alive:
+            return None
+        tier = self.shared.for_node(client.node)
+        chunk = tier.peek(self.dataset, encoded_cid)
+        if chunk is not None and record.path in chunk:
+            payload = chunk.payload(record.path, verify=False)
+            tier.note_cross_task_read()
+            self.shared_hits += 1
+            return self._copy_local(payload, "shared_tier")
+        if tier.disk_resident(self.dataset, encoded_cid):
+            return self._read_disk(tier, encoded_cid, record, None)
+        return None
+
+    def _read_disk(
+        self,
+        tier: SharedChunkCache,
+        encoded_cid: str,
+        record: FileRecord,
+        own: Optional[CacheMaster],
+    ) -> Generator[Event, Any, Optional[Resolved]]:
+        """Serve a file from a disk-resident chunk on the reader's node:
+        a device read (+ decompress, + promote when memory allows), still
+        cheaper than a backend round-trip.  The hit is the ``own``
+        master's, or a cross-task read when ``own`` is None."""
+        chunk = yield from tier.read_resident(self.dataset, encoded_cid)
+        if chunk is None or record.path not in chunk:
+            return None
+        payload = chunk.payload(record.path, verify=False)
+        if own is not None:
+            own.stats.hits += 1
+        else:
+            tier.note_cross_task_read()
+        self.disk_hits += 1
+        return (yield from self._copy_local(payload, "disk_tier"))
+
+    def _from_peer(
+        self,
+        client: CacheClient,
+        master: CacheMaster,
+        encoded_cid: str,
+        record: FileRecord,
+    ) -> Generator[Event, Any, Optional[Resolved]]:
+        """One hop to the owning master.  A dead or failing peer
+        degrades the read to the server (Fig 4), or raises
+        :class:`CachePeerDownError` without ``fallback_to_server``."""
         payload = None
         peer_answered = False
         hedge_source = ""
@@ -1279,37 +1084,35 @@ class TaskCache:
         if hedge_source == "replica":
             # A backup replica beat (or replaced) the straggling owner.
             self.remote_hits += 1
-            if rec is not None:
-                self.last_resolution = "task_cache"
-                rec.record("cache_read", "task_cache", self.env.now - t0,
-                           actor=client.name, path=record.path)
-            return payload
+            return payload, "task_cache"
         if hedge_source == "server":
             # The backend won the hedge race outright.
-            if rec is not None:
-                self.last_resolution = "server"
-                rec.record("cache_read", "server", self.env.now - t0,
-                           actor=client.name, path=record.path)
-            return payload
-        if peer_answered:
-            if payload is not None:
-                if master.node is client.node:
-                    self.local_hits += 1
-                else:
-                    self.remote_hits += 1
-                    self._note_remote_read(client, master, encoded_cid)
-                if rec is not None:
-                    self.last_resolution = "task_cache"
-                    rec.record("cache_read", "task_cache",
-                               self.env.now - t0, actor=client.name,
-                               path=record.path)
-                return payload
-            if self.policy == "on-demand" and master.up:
-                # Kick a background chunk pull; don't wait for it.
-                self.env.process(
-                    self._background_pull(client, master, encoded_cid),
-                    name=f"pull:{encoded_cid[:8]}",
-                )
+            return payload, "server"
+        if not peer_answered:
+            return None
+        if payload is not None:
+            if master.node is client.node:
+                self.local_hits += 1
+            else:
+                self.remote_hits += 1
+                self._note_remote_read(client, master, encoded_cid)
+            return payload, "task_cache"
+        if self.policy == "on-demand" and master.up:
+            # Kick a background chunk pull; don't wait for it.
+            self.env.process(
+                self._background_pull(client, master, encoded_cid),
+                name=f"pull:{encoded_cid[:8]}",
+            )
+        return None
+
+    def _from_server(
+        self,
+        client: CacheClient,
+        master: CacheMaster,
+        encoded_cid: str,
+        record: FileRecord,
+    ) -> Generator[Event, Any, Resolved]:
+        """The end of the chain: read the file from the DIESEL server."""
         payload = yield from self.server.call(
             client.node,
             "get_file",
@@ -1317,11 +1120,7 @@ class TaskCache:
             record.path,
             response_bytes=record.length,
         )
-        if rec is not None:
-            self.last_resolution = "server"
-            rec.record("cache_read", "server", self.env.now - t0,
-                       actor=client.name, path=record.path)
-        return payload
+        return payload, "server"
 
     def _background_pull(
         self, client: CacheClient, master: CacheMaster, encoded_cid: str
@@ -1406,14 +1205,10 @@ class TaskCache:
                 payload = None
             if payload is not None:
                 return "replica", payload
-        payload = yield from self.server.call(
-            client.node,
-            "get_file",
-            self.dataset,
-            record.path,
-            response_bytes=record.length,
+        payload, source = yield from self._from_server(
+            client, master, encoded_cid, record
         )
-        return "server", payload
+        return source, payload
 
     def _hedged_read(
         self,
@@ -1539,13 +1334,12 @@ class TaskCache:
         survivors = [m for m in self.masters.values() if m.up]
         if not survivors:
             raise CachePeerDownError("all cache masters are down")
-        if self.shared is not None:
-            # Forget the crashed nodes' shared-tier residency (their
-            # memory died with them).  Survivors' re-pulls go through
-            # the shared tier: chunks another task already holds on a
-            # survivor warm-admit — refcounts are rebuilt, chunks are
-            # not duplicated and the backend is not re-read for them.
-            self.shared.purge_dead()
+        # Forget the crashed nodes' tier residency (their memory died
+        # with them).  Survivors' re-pulls go through their tiers: chunks
+        # another task already holds on a survivor warm-admit — refcounts
+        # are rebuilt, chunks are not duplicated and the backend is not
+        # re-read for them.
+        self.shared.purge_dead()
         orphaned: list[str] = []
         for m in dead:
             orphaned.extend(m.assigned)
@@ -1629,31 +1423,7 @@ class TaskCache:
             if c.name in taken:
                 raise DieselError(f"client name {c.name!r} already in task")
             taken.add(c.name)
-        # Master election on nodes that do not have one yet.
-        by_node: Dict[str, CacheClient] = {}
-        for c in new_clients:
-            if c.node.name in self.masters:
-                continue
-            cur = by_node.get(c.node.name)
-            if cur is None or (c.rank, c.name) < (cur.rank, cur.name):
-                by_node[c.node.name] = c
-        new_masters: List[CacheMaster] = []
-        for node_name in sorted(by_node):
-            elected = by_node[node_name]
-            master = CacheMaster(
-                self.env, self.fabric, elected, self.server, self.dataset,
-                self.cal, store_spec=self.store_spec,
-            )
-            if self.shared is not None:
-                master.attach_shared(
-                    self.shared.for_node(elected.node),
-                    self.task_key, self.tenant, self.qos_class,
-                )
-            if self._recorder is not None:
-                master.recorder = self._recorder
-                master.endpoint.recorder = self._recorder
-            self.masters[node_name] = master
-            new_masters.append(master)
+        new_masters = self._elect_masters(new_clients)
         # Mesh growth: new clients ↔ all masters, old clients ↔ new masters.
         all_masters = [self.masters[k] for k in sorted(self.masters)]
         for c in new_clients:

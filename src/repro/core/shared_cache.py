@@ -1,21 +1,27 @@
-"""Node-level shared chunk tier: one cache crossing task boundaries.
+"""Node-level chunk tier: the one path every cache chunk is admitted by.
 
-DIESEL's task-grained cache (§4.2) is private to one training job, so a
-hyperparameter sweep of N tasks over the same dataset pays N× backend
-fetches and N× memory.  This module adds the Hoard-style remedy: every
-node runs **one** :class:`SharedChunkCache`, and each task's
-:class:`~repro.core.dist_cache.CacheMaster` on that node admits chunks
-*through* it instead of into private memory:
+DIESEL's task-grained cache (§4.2) holds each task's chunks on the
+task's own nodes.  Here that residency always lives in the node's
+:class:`SharedChunkCache` — Hoard-style, one cache service per node —
+and each task's :class:`~repro.core.dist_cache.CacheMaster` on that
+node admits chunks *through* it.  A task built without a shared
+registry gets a registry of its own (``owner`` set to its task key):
+the same code path with exactly one task.
 
-* chunks are **reference-counted** per task — the first task's cold
-  admission fetches from the object store, every later task's admission
-  of the same chunk is a warm ref-bump (no fetch, no extra memory);
-* **single-flight is cross-task**: two tasks racing the same cold chunk
-  coalesce onto one backend fetch, exactly like the per-master map they
-  replace;
-* a task deregistering drops its refs; refcount-0 chunks stay resident
-  as a **warm pool** (a later task re-warms from them) until eviction
-  reclaims them for space — eviction never touches a referenced chunk;
+* chunks are **reference-counted** per task — the first admission
+  fetches the chunk, every later task's admission of it is a warm
+  ref-bump (no fetch, no extra memory);
+* **single-flight is cross-task**: admissions racing the same cold
+  chunk coalesce onto one fetch; a waiter from the fetching task adopts
+  its outcome;
+* a cold admission with a **donor** (a peer master of the same task
+  that still holds the chunk: scale-up warm, scale-down drain) fetches
+  from the donor before the object store;
+* a task releasing its refs (deregistration, scale-down departure)
+  leaves refcount-0 chunks resident as a **warm pool** a later task
+  re-warms from, until eviction reclaims them for space — eviction
+  never touches a referenced chunk.  A tier its task owns frees them
+  instead, because no other task can reuse them;
 * **per-tenant byte quotas** bound how many resident bytes one tenant
   may pin per node (0 = unlimited; admission at exactly the quota is
   allowed, one byte past it is rejected);
@@ -23,14 +29,13 @@ node runs **one** :class:`SharedChunkCache`, and each task's
   refcount-0 chunk to make room, a ``batch`` admission may only reclaim
   refcount-0 chunks last pinned by batch tasks — it cannot steal the
   warm pool an interactive task left behind;
-* chunk *residency* is delegated to a pluggable
-  :mod:`~repro.core.chunk_store` backend: the default ``ram`` store
-  keeps the legacy all-in-memory behaviour, while ``tiered`` adds a
-  simulated node-local NVMe tier — under memory pressure, refcount-0
-  chunks are **demoted** to disk (LRU-first) instead of dropped,
-  disk-resident chunks are promoted back on access, and the disk tier
-  *survives a node crash* so recovery re-admits by reference instead
-  of re-fetching from the backend.
+* chunk *residency* is delegated to a :mod:`~repro.core.chunk_store`
+  backend: the ``ram`` store keeps chunks in node memory, while
+  ``tiered`` adds a simulated node-local NVMe tier — under memory
+  pressure, refcount-0 chunks are **demoted** to disk (LRU-first)
+  instead of dropped, disk-resident chunks are promoted back on access,
+  and the disk tier *survives a node crash* so recovery re-admits by
+  reference instead of re-fetching from the backend.
 
 :class:`SharedCacheRegistry` is the deployment-wide handle: it lazily
 creates the per-node caches (each with its own store built from the
@@ -53,7 +58,9 @@ from repro.core.chunk_store import (
     make_spec,
     make_store,
 )
+from repro.errors import CachePeerDownError, NodeDownError
 from repro.sim.engine import Environment, Event
+from repro.sim.resources import SingleFlight
 
 #: The two admission-priority classes (paper-less extension; see
 #: DESIGN §11).  ``interactive`` outranks ``batch`` at eviction time.
@@ -140,9 +147,9 @@ class SharedChunkCache:
         #: reference entry when the store sheds a chunk for capacity.
         self.store = make_store(env, node, registry.store_spec,
                                 on_evict=self._forget)
-        #: Cross-task single-flight map: key → completion event of the
-        #: backend fetch currently streaming that chunk.
-        self._inflight: Dict[str, Event] = {}
+        #: Cross-task single-flight over cold fetches, keyed like
+        #: ``_entries`` and led by the fetching task's key.
+        self._flights = SingleFlight(env)
         #: Tenant → resident bytes the tenant references on this node.
         self._tenant_usage: Dict[str, int] = {}
         self._stats = SharedCacheStats()
@@ -295,8 +302,7 @@ class SharedChunkCache:
         (QoS-governed): the RAM store evicts them outright, the tiered
         store *demotes* them to disk and overflows the admission itself
         to disk when RAM still cannot cover it.  A refusal moves the
-        ``qos_denied`` / ``skipped_no_memory`` counter, exactly like
-        the eviction scan it replaces.
+        ``qos_denied`` / ``skipped_no_memory`` counter.
         """
         room = self.node.memory.level
         blocked = False
@@ -318,119 +324,148 @@ class SharedChunkCache:
                 self._stats.skipped_no_memory += 1
         return tier
 
+    def _warm(
+        self, master, encoded_cid: str, key: str, entry: _Entry
+    ) -> Optional[Chunk]:
+        """Ref-bump a resident chunk for ``master``'s task."""
+        if not self._charge_ref(
+            entry, master.task_key, master.tenant, master.qos_class
+        ):
+            master.stats.skipped_no_memory += 1
+            return None
+        self.store.touch(key)
+        self._stats.warm_admissions += 1
+        rec = self.recorder
+        if rec is not None:
+            rec.count("shared_warm_admit", "shared_tier")
+        master.hold(encoded_cid, entry.nbytes)
+        return self.store.chunk_object(key)
+
+    def _admit(
+        self, master, encoded_cid: str, key: str, blob: bytes
+    ) -> Generator[Event, Any, Optional[Chunk]]:
+        """File a freshly fetched chunk: quota, placement, first ref."""
+        nbytes = len(blob)
+        tenant = master.tenant
+        if not self._quota_room(tenant, nbytes):
+            self._stats.quota_rejections += 1
+            master.stats.skipped_no_memory += 1
+            return None
+        chunk = Chunk.decode(blob)
+        if (yield from self._place(key, chunk, nbytes, master.qos_class)) is None:
+            master.stats.skipped_no_memory += 1
+            return None
+        entry = _Entry(nbytes=nbytes, qos=master.qos_class)
+        entry.tasks.add(master.task_key)
+        entry.tenants[tenant] = 1
+        self._entries[key] = entry
+        self._tenant_usage[tenant] = self._tenant_usage.get(tenant, 0) + nbytes
+        self._stats.cold_admissions += 1
+        rec = self.recorder
+        if rec is not None:
+            rec.count("shared_cold_admit", "shared_tier")
+        master.hold(encoded_cid, nbytes)
+        return chunk
+
+    def _join(self, master, key: str) -> Tuple[Event, bool]:
+        """Join ``key``'s in-flight fetch: count the coalesced pull and
+        report whether ``master``'s own task leads it."""
+        self._stats.coalesced_pulls += 1
+        master.stats.coalesced_pulls += 1
+        return (
+            self._flights.waiter(key),
+            self._flights.leader(key) == master.task_key,
+        )
+
     def acquire(
-        self, master, encoded_cid: str
-    ) -> Generator[Event, Any, Optional[Tuple[Chunk, int]]]:
+        self, master, encoded_cid: str, donor=None
+    ) -> Generator[Event, Any, Optional[Tuple[Chunk, str]]]:
         """Admit one chunk on behalf of ``master``'s task (ref-counted).
 
-        ``master`` is a :class:`~repro.core.dist_cache.CacheMaster`
-        attached via ``attach_shared`` (the call site supplies node,
-        server, dataset, task key, tenant and QoS class; its
-        ``stats.coalesced_pulls`` moves when this acquire joins another
-        task's in-flight fetch, preserving the task-level counter).
+        ``master`` is a :class:`~repro.core.dist_cache.CacheMaster` on
+        this node: it supplies the server, dataset, task key, tenant and
+        QoS class, and this call records the outcome on it
+        (``hold`` on admission, ``stats.skipped_no_memory`` on refusal,
+        ``stats.coalesced_pulls`` when it joins an in-flight fetch).
 
-        Resident → warm ref-bump.  In flight → wait (cross-task
-        single-flight), then ref-bump.  Miss → fetch from the object
+        Resident → warm ref-bump.  In flight → wait (single-flight
+        across tasks); a waiter whose own task led the fetch adopts its
+        outcome, any other re-checks (ref-bump, or retry the cold path
+        when the leader was refused under its own quota).  Miss → fetch
+        from ``donor`` (a peer master that still holds the chunk: the
+        scale-up warm and scale-down drain pull) or else the object
         store, make room (QoS-governed eviction of the warm pool),
-        charge the tenant quota, admit.  Returns ``(chunk, nbytes)``,
-        or ``None`` when the quota, QoS policy or node memory refused
-        the admission (the chunk stays server-resident; reads for it
-        fall through, Fig 4).
+        charge the tenant quota, admit.  Returns ``(chunk, source)``
+        with source ``"resident"``, ``"peer"`` or ``"backend"``, or
+        ``None`` when refused or when it joined its own task's fetch
+        (the chunk then stays server-resident or is already held).
         """
         key = self._key(master.dataset, encoded_cid)
-        task = master._shared_task
-        tenant = master._shared_tenant
-        qos = master._shared_qos
         while True:
             entry = self._entries.get(key)
             if entry is not None:
-                if not self._charge_ref(entry, task, tenant, qos):
-                    return None
-                self.store.touch(key)
-                self._stats.warm_admissions += 1
-                rec = self.recorder
-                if rec is not None:
-                    rec.count("shared_warm_admit", "shared_tier")
-                return self.store.chunk_object(key), entry.nbytes
-            pending = self._inflight.get(key)
-            if pending is None:
+                chunk = self._warm(master, encoded_cid, key, entry)
+                return (chunk, "resident") if chunk is not None else None
+            if key not in self._flights:
                 break
-            self._stats.coalesced_pulls += 1
-            master.stats.coalesced_pulls += 1
+            pending, own = self._join(master, key)
             yield pending
-            # Re-check: the fetch may have been refused (quota/memory),
-            # in which case this task retries the cold path itself.
-        done = self.env.event()
-        self._inflight[key] = done
+            if own:
+                return None
+        self._flights.begin(key, master.task_key)
         try:
-            blob = yield from master.server.call(
-                self.node,
-                "get_chunk",
-                master.dataset,
-                encoded_cid,
-                response_bytes=None,  # sized from the returned bytes
-            )
-            nbytes = len(blob)
-            if not self._quota_room(tenant, nbytes):
-                self._stats.quota_rejections += 1
-                return None
-            chunk = Chunk.decode(blob)
-            tier = yield from self._place(key, chunk, nbytes, qos)
-            if tier is None:
-                return None
-            entry = _Entry(nbytes=nbytes, qos=qos)
-            entry.tasks.add(task)
-            entry.tenants[tenant] = 1
-            self._entries[key] = entry
-            self._tenant_usage[tenant] = (
-                self._tenant_usage.get(tenant, 0) + nbytes
-            )
-            self._stats.cold_admissions += 1
-            rec = self.recorder
-            if rec is not None:
-                rec.count("shared_cold_admit", "shared_tier")
-            return chunk, nbytes
+            blob = None
+            if donor is not None and donor.up:
+                try:
+                    blob = yield from donor.endpoint.call(
+                        self.node, "get_chunk", encoded_cid,
+                        response_bytes=None,
+                    )
+                except (NodeDownError, CachePeerDownError):
+                    pass  # the donor died mid-pull: use the backend
+            source = "peer" if blob is not None else "backend"
+            if blob is None:
+                blob = yield from master.server.call(
+                    self.node,
+                    "get_chunk",
+                    master.dataset,
+                    encoded_cid,
+                    response_bytes=None,  # sized from the returned bytes
+                )
+            chunk = yield from self._admit(master, encoded_cid, key, blob)
+            return (chunk, source) if chunk is not None else None
         finally:
-            del self._inflight[key]
-            done.succeed()
+            self._flights.end(key)
 
     def acquire_batch(
         self, master, cids: Sequence[str]
-    ) -> Generator[Event, Any, Dict[str, Tuple[Chunk, int]]]:
+    ) -> Generator[Event, Any, int]:
         """Batched :meth:`acquire`: one vectorized server admission.
 
-        The cold subset rides a single
-        :meth:`~repro.core.server.DieselServer.call_batch`; warm chunks
-        ref-bump immediately and chunks in flight under another task are
-        awaited afterwards — the same classification discipline as the
-        per-master ``_pull_chunks_batched`` it replaces.  Returns the
-        chunks now held by ``master``'s task, keyed by encoded cid.
+        Chunks ``master`` already holds count as cached; resident ones
+        ref-bump immediately; the cold subset rides a single
+        :meth:`~repro.core.server.DieselServer.call_batch`; chunks in
+        flight are awaited afterwards (adopting the outcome of a fetch
+        ``master``'s own task leads, re-checking another task's).
+        Returns how many of ``cids`` ``master`` now holds.
         """
-        task = master._shared_task
-        tenant = master._shared_tenant
-        qos = master._shared_qos
-        held: Dict[str, Tuple[Chunk, int]] = {}
+        cached = 0
         fetch: List[str] = []
-        dones: List[Event] = []
-        waits: List[str] = []
+        waits: List[Tuple[str, Event, bool]] = []
         for cid in cids:
+            if master.has_chunk(cid):
+                cached += 1
+                continue
             key = self._key(master.dataset, cid)
             entry = self._entries.get(key)
             if entry is not None:
-                if self._charge_ref(entry, task, tenant, qos):
-                    self.store.touch(key)
-                    self._stats.warm_admissions += 1
-                    held[cid] = (self.store.chunk_object(key), entry.nbytes)
+                cached += self._warm(master, cid, key, entry) is not None
                 continue
-            if key in self._inflight:
-                self._stats.coalesced_pulls += 1
-                master.stats.coalesced_pulls += 1
-                waits.append(cid)
+            if key in self._flights:
+                waits.append((cid, *self._join(master, key)))
                 continue
-            done = self.env.event()
-            self._inflight[key] = done
+            self._flights.begin(key, master.task_key)
             fetch.append(cid)
-            dones.append(done)
         try:
             if fetch:
                 blobs = yield from master.server.call_batch(
@@ -438,40 +473,28 @@ class SharedChunkCache:
                     [("get_chunk", master.dataset, cid) for cid in fetch],
                 )
                 for cid, blob in zip(fetch, blobs):
-                    nbytes = len(blob)
-                    if not self._quota_room(tenant, nbytes):
-                        self._stats.quota_rejections += 1
-                        continue
-                    chunk = Chunk.decode(blob)
                     key = self._key(master.dataset, cid)
-                    tier = yield from self._place(key, chunk, nbytes, qos)
-                    if tier is None:
-                        continue
-                    entry = _Entry(nbytes=nbytes, qos=qos)
-                    entry.tasks.add(task)
-                    entry.tenants[tenant] = 1
-                    self._entries[key] = entry
-                    self._tenant_usage[tenant] = (
-                        self._tenant_usage.get(tenant, 0) + nbytes
-                    )
-                    self._stats.cold_admissions += 1
-                    held[cid] = (chunk, nbytes)
+                    chunk = yield from self._admit(master, cid, key, blob)
+                    cached += chunk is not None
         finally:
-            for cid, done in zip(fetch, dones):
-                del self._inflight[self._key(master.dataset, cid)]
-                done.succeed()
-        for cid in waits:
-            result = yield from self.acquire(master, cid)
-            if result is not None:
-                held[cid] = result
-                # acquire already counted the warm admission.
-        return held
+            for cid in fetch:
+                self._flights.end(self._key(master.dataset, cid))
+        for cid, pending, own in waits:
+            if own:
+                yield pending
+            else:
+                yield from self.acquire(master, cid)
+            cached += master.has_chunk(cid)
+        return cached
 
     # ---------------------------------------------------------------- release
     def release(self, dataset: str, encoded_cid: str, task: str, tenant: str) -> None:
-        """Drop one task's reference; the chunk stays warm (refcount-0
-        chunks are reclaimed by eviction, not by release)."""
-        entry = self._entries.get(self._key(dataset, encoded_cid))
+        """Drop one task's reference.  In a tier shared across tasks the
+        chunk stays warm (refcount-0 chunks are reclaimed by eviction,
+        not by release); in a tier its task owns, no other task can
+        reuse it, so the chunk is freed."""
+        key = self._key(dataset, encoded_cid)
+        entry = self._entries.get(key)
         if entry is None or task not in entry.tasks:
             return
         entry.tasks.discard(task)
@@ -484,16 +507,17 @@ class SharedChunkCache:
         else:
             entry.tenants[tenant] = left
         self._stats.released_refs += 1
+        if task == self.registry.owner:
+            del self._entries[key]
+            self.store.drop(key)
 
     def release_task(self, task: str, tenant: str) -> int:
         """Drop every reference ``task`` holds; returns how many."""
-        released = 0
-        for key, entry in self._entries.items():
-            if task in entry.tasks:
-                dataset, _, encoded_cid = key.rpartition("/")
-                self.release(dataset, encoded_cid, task, tenant)
-                released += 1
-        return released
+        held = [key for key, entry in self._entries.items() if task in entry.tasks]
+        for key in held:
+            dataset, _, encoded_cid = key.rpartition("/")
+            self.release(dataset, encoded_cid, task, tenant)
+        return len(held)
 
     def purge_crashed(self) -> int:
         """Node died: forget RAM residency without returning memory (the
@@ -513,18 +537,26 @@ class SharedChunkCache:
                 entry.tenants.clear()
                 kept[key] = entry
         self._entries = kept
-        self._inflight.clear()
         self._tenant_usage.clear()
         return before - len(kept)
+
+
+def _summed(total, snaps):
+    """``total`` with every dataclass field of ``snaps`` added in."""
+    for snap in snaps:
+        for f in fields(total):
+            setattr(total, f.name, getattr(total, f.name) + getattr(snap, f.name))
+    return total
 
 
 class SharedCacheRegistry:
     """Deployment-wide shared-tier handle: per-node caches + quotas.
 
-    The store keyword arguments mirror the ``DieselConfig`` fields
-    ``cache_store`` / ``disk_tier_bytes`` / ``disk_latency_s`` /
-    ``disk_bandwidth_bps`` / ``chunk_compression``; every lazily
-    created node cache builds its residency store from this one spec.
+    The store keyword arguments pick the residency backend
+    (:func:`~repro.core.chunk_store.make_spec`); every lazily created
+    node cache builds its store from this one spec.  A
+    :class:`~repro.core.dist_cache.TaskCache` built without a registry
+    creates its own RAM registry and sets :attr:`owner` to its task key.
     """
 
     def __init__(
@@ -546,6 +578,10 @@ class SharedCacheRegistry:
         self._caches: Dict[str, SharedChunkCache] = {}  # node name → cache
         self._quotas: Dict[str, int] = {}  # tenant → per-node byte quota
         self._next_task = 0
+        #: Task key of the one task this registry belongs to, or
+        #: ``None`` when tasks share it.  An owned tier frees what its
+        #: task releases and never serves a read as another task's copy.
+        self.owner: Optional[str] = None
         self._recorder = None
 
     def for_node(self, node) -> SharedChunkCache:
@@ -608,22 +644,14 @@ class SharedCacheRegistry:
     @property
     def stats(self) -> SharedCacheStats:
         """Counters summed over every node cache (gauges included)."""
-        total = SharedCacheStats()
-        for cache in self._caches.values():
-            snap = cache.stats
-            for f in fields(total):
-                setattr(total, f.name, getattr(total, f.name) + getattr(snap, f.name))
-        return total
+        return _summed(SharedCacheStats(),
+                       [c.stats for c in self._caches.values()])
 
     @property
     def store_stats(self) -> ChunkStoreStats:
         """Tier counters summed over every node cache's chunk store."""
-        total = ChunkStoreStats()
-        for cache in self._caches.values():
-            snap = cache.store.stats
-            for f in fields(total):
-                setattr(total, f.name, getattr(total, f.name) + getattr(snap, f.name))
-        return total
+        return _summed(ChunkStoreStats(),
+                       [c.store.stats for c in self._caches.values()])
 
     def tier_rows(self) -> List[dict]:
         """Per-node tier residency summary (``dlcmd tiers`` / bench rows)."""

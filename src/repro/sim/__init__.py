@@ -3,7 +3,8 @@
 This package provides the simulated-time substrate for every performance
 experiment in the reproduction: a SimPy-flavoured event loop with
 generator-based processes, composable events, and contention primitives
-(:class:`Resource`, :class:`Container`, :class:`Store`).
+(:class:`Resource`, :class:`Container`, :class:`Store`,
+:class:`SingleFlight`).
 
 Why a DES?  The paper's results are *contention shapes* measured on a
 16-node InfiniBand cluster — saturation of a metadata server, queueing on
@@ -37,7 +38,7 @@ from repro.sim.engine import (
     fan_out,
     run_sync,
 )
-from repro.sim.resources import Container, Resource, Store
+from repro.sim.resources import Container, Resource, SingleFlight, Store
 
 __all__ = [
     "AllOf",
@@ -48,6 +49,7 @@ __all__ = [
     "Process",
     "Resource",
     "Semaphore",
+    "SingleFlight",
     "Store",
     "Timeout",
     "fan_out",

@@ -1,17 +1,18 @@
-"""Contention primitives: Resource, Container, Store.
+"""Contention primitives: Resource, Container, Store, SingleFlight.
 
 These model the shared hardware and software capacities in the cluster:
 a :class:`Resource` with capacity *k* is a k-server FIFO queueing station
 (device queue depths, server worker pools, RPC service threads); a
 :class:`Container` tracks a divisible quantity (memory bytes); a
 :class:`Store` is a FIFO queue of Python objects (mailboxes, request
-queues).
+queues); a :class:`SingleFlight` lets one process do a keyed piece of
+work (a chunk fetch, a tier move) while concurrent callers wait for it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator
+from typing import Any, Deque, Dict, Generator, Hashable, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.engine import Environment, Event
@@ -227,3 +228,48 @@ class Store:
                 evt = self._getters.popleft()
                 evt.succeed(self._items.popleft())
                 progress = True
+
+
+class SingleFlight:
+    """At most one in-flight operation per key; later callers wait.
+
+    The process that finds a key idle calls :meth:`begin` and becomes
+    its leader, and must call :meth:`end` when done (normally from a
+    ``finally``).  A caller that finds the key busy yields the event
+    from :meth:`waiter` and resumes once the leader ends, then
+    re-checks whatever state the leader was producing.  ``leader`` is an
+    opaque tag the leader registers (for example the task it works for)
+    so a waiter can tell its own work from someone else's.
+    """
+
+    __slots__ = ("env", "_flights")
+
+    def __init__(self, env: Environment) -> None:
+        self.env = env
+        self._flights: Dict[Hashable, Tuple[Event, Any]] = {}
+
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._flights
+
+    def __len__(self) -> int:
+        return len(self._flights)
+
+    def waiter(self, key: Hashable) -> Optional[Event]:
+        """The event that fires when ``key``'s flight ends, or ``None``
+        when no flight is running."""
+        flight = self._flights.get(key)
+        return flight[0] if flight is not None else None
+
+    def leader(self, key: Hashable) -> Any:
+        """The tag the running flight's leader registered."""
+        return self._flights[key][1]
+
+    def begin(self, key: Hashable, leader: Any = None) -> None:
+        """Start a flight for ``key``; it must not already be running."""
+        if key in self._flights:
+            raise SimulationError(f"{key!r} is already in flight")
+        self._flights[key] = (Event(self.env), leader)
+
+    def end(self, key: Hashable) -> None:
+        """Finish ``key``'s flight and wake every waiter."""
+        self._flights.pop(key)[0].succeed()

@@ -1,24 +1,28 @@
 """Tests for DieselConfig and the ETCD-like ConfigStore."""
 
+import inspect
+
 import pytest
 
 from repro.core.config import ConfigStore, DieselConfig
+from repro.core.dist_cache import TaskCache
 
 
 class TestDieselConfig:
     def test_defaults_match_paper(self):
         cfg = DieselConfig()
         assert cfg.chunk_size == 4 * 1024 * 1024  # >= 4MB chunks
-        assert cfg.cache_policy == "oneshot"
+        policy = inspect.signature(TaskCache).parameters["policy"]
+        assert policy.default == "oneshot"  # §4.2's default cache policy
         assert cfg.shuffle_group_size == 100  # ImageNet group size (Fig 13)
 
     @pytest.mark.parametrize(
         "kw",
         [
             {"chunk_size": 0},
-            {"cache_policy": "never"},
+            {"prefetch_depth": -1},
             {"shuffle_group_size": 0},
-            {"fuse_clients": 0},
+            {"read_fanout": 0},
         ],
     )
     def test_validation(self, kw):

@@ -101,6 +101,27 @@ class TestOneshotPolicy:
         dep.run(proc())
         assert cache.hit_ratio() == 1.0
 
+    def test_private_cache_is_a_tier_with_one_task(self):
+        dep, cache, clients, files, index = setup_cache(policy="oneshot")
+        dep.run(cache.register())
+        dep.run(cache.wait_warm())
+        # The task built its own registry and is its only owner: every
+        # chunk is admitted once, by this task, through the node tiers.
+        assert cache.shared.owner == cache.task_key
+        stats = cache.shared.stats
+        assert stats.cold_admissions == len(index.chunk_ids())
+        assert stats.refs == stats.chunks_resident == cache.cached_chunks()
+
+        def proc():
+            for client in clients:
+                for path in files:
+                    yield from cache.read_file(client, index.lookup(path))
+
+        dep.run(proc())
+        # Another task's copy never serves a read in an owned tier.
+        assert cache.stats.shared_hits == 0
+        assert cache.shared.stats.cross_task_reads == 0
+
     def test_cached_bytes_accounts_chunks(self):
         dep, cache, clients, files, index = setup_cache()
         dep.run(cache.register())

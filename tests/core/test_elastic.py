@@ -3,15 +3,19 @@
 import pytest
 
 from repro.core.dist_cache import CacheClient, TaskCache
+from repro.core.shared_cache import SharedCacheRegistry
 from repro.errors import DieselError
 from repro.ft import CacheSupervisor, FailureDetector
 
 from tests.core.conftest import build_deployment, small_files, write_dataset
 
 
-def setup_cache(n_nodes=4, cache_nodes=2, n_files=24, policy="oneshot"):
+def setup_cache(n_nodes=4, cache_nodes=2, n_files=24, policy="oneshot",
+                shared=None):
     """A cache over the first ``cache_nodes`` nodes of a larger cluster,
-    leaving the rest free to join via scale_up."""
+    leaving the rest free to join via scale_up.  ``shared`` is a
+    registry class to build a shared registry from (None = the task
+    owns its tiers)."""
     dep = build_deployment(n_client_nodes=n_nodes)
     files = small_files(n_files, size=2048)
     writer = write_dataset(dep, "ds", files, chunk_size=8 * 1024)
@@ -26,7 +30,8 @@ def setup_cache(n_nodes=4, cache_nodes=2, n_files=24, policy="oneshot"):
         for i in range(cache_nodes * 2)
     ]
     cache = TaskCache(
-        dep.env, dep.fabric, dep.server, "ds", clients, policy=policy
+        dep.env, dep.fabric, dep.server, "ds", clients, policy=policy,
+        shared=shared(dep.env) if shared is not None else None,
     )
     dep.run(cache.register())
     dep.run(cache.wait_warm())
@@ -66,6 +71,22 @@ class TestScaleUp:
         assert cache.stats.peer_warmed_chunks == res["peer_warmed"]
         # Every chunk still resident and owned exactly once.
         assert cache.cached_chunks() >= n_chunks
+        dep.run(read_all(cache, clients[1], files, index))
+
+    def test_shared_registry_warms_from_the_donor(self):
+        dep, cache, clients, files, index = setup_cache(
+            shared=SharedCacheRegistry
+        )
+        fetches_before = dep.server.stats.chunk_reads
+        res = dep.run(cache.scale_up(joiners(dep, [2, 3])))
+        assert res["moved_chunks"] > 0
+        assert res["peer_warmed"] == res["moved_chunks"]
+        assert dep.server.stats.chunk_reads == fetches_before
+        # The joiners' tiers admitted cold, but from the donors' copies.
+        n_chunks = len(index.chunk_ids())
+        assert cache.shared.stats.cold_admissions == (
+            n_chunks + res["moved_chunks"]
+        )
         dep.run(read_all(cache, clients[1], files, index))
 
     def test_partition_balance_after_growth(self):
@@ -139,6 +160,16 @@ class TestScaleDown:
         # Survivors own and hold the full dataset again.
         assert sum(len(m.assigned) for m in cache.masters.values()) == n_chunks
         dep.run(read_all(cache, clients[0], files, index))
+
+    def test_private_cache_returns_the_departing_nodes_memory(self):
+        dep, cache, clients, files, index = self.grown()
+        node = dep.client_nodes[3]
+        assert cache.masters[node.name].cached_chunk_count > 0
+        assert node.memory.level < node.memory.capacity
+        dep.run(cache.scale_down([node]))
+        # The task owns its tier: nobody else can reuse what it leaves.
+        assert node.memory.level == node.memory.capacity
+        assert cache.shared.for_node(node).stats.chunks_resident == 0
 
     def test_accepts_node_names_as_well_as_nodes(self):
         dep, cache, clients, files, index = self.grown()

@@ -185,7 +185,7 @@ class TestPrefetcher:
         # In-flight fetch processes unwind cleanly when the sim drains.
         deployment.env.run()
         assert prefetcher.in_flight == 0
-        assert client._inflight == {}
+        assert len(client._inflight) == 0
         assert client.working_set_bytes() == 0
 
     def test_close_cancels_pipeline(self, deployment):

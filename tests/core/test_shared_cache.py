@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.dist_cache import CacheClient, TaskCache
+from repro.core.dist_cache import CacheClient, CacheMasterStats, TaskCache
 from repro.core.shared_cache import SharedCacheRegistry
 from repro.cluster.node import Node
 from repro.errors import DieselError
@@ -48,10 +48,17 @@ def shared_rig(n_nodes=2, n_files=24, n_tasks=2, tenants=None, qos=None,
 
 def fake_master(server, dataset, task, tenant="default", qos="batch"):
     """Duck-typed CacheMaster for unit-driving SharedChunkCache.acquire."""
+    held = {}
+    stats = CacheMasterStats()
+
+    def hold(cid, nbytes):
+        held[cid] = nbytes
+        stats.chunks_loaded += 1
+
     return SimpleNamespace(
-        server=server, dataset=dataset, _shared_task=task,
-        _shared_tenant=tenant, _shared_qos=qos,
-        stats=SimpleNamespace(coalesced_pulls=0),
+        server=server, dataset=dataset, task_key=task,
+        tenant=tenant, qos_class=qos, stats=stats, hold=hold,
+        has_chunk=held.__contains__,
     )
 
 
@@ -462,3 +469,48 @@ class TestRecoveryRefcounts:
 
         dep.run(epoch(c0))
         dep.run(epoch(c1))
+
+
+class TestOneTaskOnTieredTier:
+    def test_own_disk_chunks_are_master_hits_not_cross_task_reads(self):
+        """A task alone on a tiered tier reads its own disk-resident
+        chunks: every read is a hit on its master, none a cross-task
+        read (12 of the 16 chunks sit on disk)."""
+        dep = build_deployment(n_client_nodes=1)
+        files = small_files(64, size=1024)
+        writer = write_dataset(dep, "ds", files, chunk_size=4 * 1024)
+
+        def load():
+            blob = yield from writer.save_meta()
+            yield from writer.load_meta(blob)
+
+        dep.run(load())
+        index = writer.index
+        chunks = index.chunk_ids()
+        assert len(chunks) == 16
+        chunk_bytes = max(
+            len(dep.store.peek(k)) for k in dep.store.list_keys()
+        )
+        node = dep.fabric.add_node(
+            Node(dep.env, "tiny", memory_bytes=4 * chunk_bytes + 1)
+        )
+        registry = SharedCacheRegistry(dep.env, store="tiered")
+        cc = CacheClient("cc0", node, 0)
+        cache = TaskCache(dep.env, dep.fabric, dep.server, "ds", [cc],
+                          shared=registry)
+        dep.run(cache.register())
+        dep.run(cache.wait_warm())
+        assert registry.store_stats.chunks_disk == 12
+
+        def epoch():
+            for path, expected in files.items():
+                data = yield from cache.read_file(cc, index.lookup(path))
+                assert data == expected
+
+        dep.run(epoch())
+        master = cache.masters[node.name]
+        assert master.stats.hits == 64
+        assert registry.stats.cross_task_reads == 0
+        assert cache.stats.disk_hits == 48
+        assert cache.stats.local_hits == 16
+        assert cache.stats.shared_hits == 0

@@ -1,9 +1,11 @@
-"""Tests for Resource / Container / Store contention primitives."""
+"""Tests for Resource / Container / Store / SingleFlight primitives."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Container, Environment, Resource, Store, run_sync
+from repro.sim import (
+    Container, Environment, Resource, SingleFlight, Store, run_sync,
+)
 
 
 class TestResource:
@@ -332,3 +334,44 @@ class TestInterruptSafety:
         env.run()
         assert outcome == ["gave-up"]
         assert res.count == 0 and res.queue_length == 0
+
+
+class TestSingleFlight:
+    def test_waiters_resume_when_the_leader_ends(self):
+        env = Environment()
+        flights = SingleFlight(env)
+        log = []
+
+        def leader():
+            flights.begin("k", leader="a")
+            try:
+                yield env.timeout(2.0)
+                log.append(("fetched", env.now))
+            finally:
+                flights.end("k")
+
+        def waiter(tag):
+            yield env.timeout(0.5)
+            assert flights.leader("k") == "a"
+            yield flights.waiter("k")
+            log.append((tag, env.now))
+
+        env.process(leader())
+        env.process(waiter("w1"))
+        env.process(waiter("w2"))
+        env.run()
+        assert log == [("fetched", 2.0), ("w1", 2.0), ("w2", 2.0)]
+        assert "k" not in flights and len(flights) == 0
+        assert flights.waiter("k") is None
+
+    def test_a_key_runs_one_flight_at_a_time(self):
+        env = Environment()
+        flights = SingleFlight(env)
+        flights.begin("k")
+        with pytest.raises(SimulationError):
+            flights.begin("k")
+        flights.begin("other")
+        assert len(flights) == 2
+        flights.end("k")
+        flights.begin("k")  # a finished key can fly again
+        assert "k" in flights
