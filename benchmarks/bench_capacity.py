@@ -26,10 +26,14 @@ def test_capacity_sweep(experiment):
     ten = result.one(event="run", ratio=10.0, compression=False)
     assert ten["tier_disk_hits"] > ten["tier_ram_hits"]
     # Throughput floor at 2× RAM: the disk tier must sustain at least
-    # 100 MB/s (RAM-only at 0.5× runs ~1.1 GB/s; pure-disk chunk reads
-    # bottom out near 90 MB/s at 10×).
+    # 100 MB/s (RAM-only at 0.5× runs ~1.1 GB/s; disk reads of file
+    # extents reach ~435 MB/s at 2×).
     two = result.one(event="run", ratio=2.0, compression=False)
     assert two["read_throughput_bps"] >= 100e6
+    # Read-throughs cost the file's extent, not the whole chunk: at 10×
+    # the disk tier serves ~305 MB/s, where chunk-granular reads of the
+    # same epoch managed ~93 MB/s.
+    assert ten["read_throughput_bps"] >= 250e6
     # Compression pays off once the disk tier serves most reads: at
     # ≥ 4× dataset:RAM the compressed runs are at least as fast.
     for ratio in (4.0, 10.0):

@@ -2265,15 +2265,17 @@ def capacity(
 
     * Warmup admissions overflow RAM → disk instead of staying
       server-resident, so the epoch never falls through to the backend.
-    * Reads past the RAM tier charge a chunk-granular disk read (plus
-      decompress when compression is on); with RAM full they stream
-      through *without* promotion, so a scan larger than memory cannot
-      thrash the RAM working set.
-    * Compression shrinks stored/transferred bytes per chunk by a
-      deterministic per-chunk ratio (~1.4–3.6×): reads pay
-      ``stored/disk_bw + logical/decompress_bw`` instead of
-      ``logical/disk_bw``, which wins once the disk tier serves most
-      reads (≥ ~2× dataset:RAM).
+    * Reads past the RAM tier charge a disk read (plus decompress when
+      compression is on).  With RAM full they stream through *without*
+      promotion, reading only the file's extent, so a scan larger than
+      memory cannot thrash the RAM working set; a promotion reads the
+      whole chunk.
+    * Compression shrinks stored bytes per chunk by a deterministic
+      per-chunk ratio (~1.4–3.6×): a read-through pays
+      ``stored_extent/disk_bw + length/decompress_bw`` instead of
+      ``length/disk_bw``.  With file-sized reads the per-op latency
+      dominates, so compression mostly buys disk capacity (throughput
+      gain ≈ 1.00–1.02×).
 
     Every row records read throughput, tier counters, the RAM-gauge
     bound (resident RAM bytes never exceed the node's budget) and

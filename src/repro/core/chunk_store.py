@@ -17,7 +17,8 @@ backends, selected by ``SharedCacheRegistry(store=...)``:
   cold chunks are *demoted* to disk under memory pressure
   (:meth:`~TieredStore.displace`), and disk-resident chunks are
   *promoted* back to RAM on access when memory allows — otherwise the
-  read streams through without displacing the RAM working set.
+  read streams through without displacing the RAM working set, and
+  costs only the requested file's extent, not the whole chunk.
 
 Optional **transparent chunk compression** (``chunk_compression=True``,
 FanStore-style) shrinks what the disk tier stores and transfers: each
@@ -157,7 +158,9 @@ class ChunkStoreStats:
 
     #: Lookups served from the RAM tier.
     ram_hits: int = 0
-    #: Lookups served from the disk tier (read-through or promotion).
+    #: Lookups served from the disk tier: a read-through (costs the
+    #: file's stored extent) or a whole-chunk read (costs the whole
+    #: stored chunk; promotes when memory allows).
     disk_hits: int = 0
     #: Disk-resident chunks moved back to RAM on access.
     promotions: int = 0
@@ -310,11 +313,13 @@ class RamStore:
         return (yield from self._put_ram(key, chunk, nbytes))
 
     def load(
-        self, key: str
+        self, key: str, path: Optional[str] = None
     ) -> Generator[Event, Any, Optional[Tuple[Chunk, int]]]:
         """Cost-charging lookup across all tiers (generator).
 
-        RAM store: identical to :meth:`get` (never yields).
+        ``path`` names the one file the caller wants out of the chunk
+        (``None`` = the whole chunk).  RAM store: identical to
+        :meth:`get` (never yields), whatever ``path`` says.
         """
         return self.get(key)
         yield  # pragma: no cover - marks this function as a generator
@@ -381,17 +386,21 @@ class TieredStore(RamStore):
     * :meth:`displace` *demotes* RAM→disk under memory pressure instead
       of dropping, so a cold chunk costs a disk read later — not a full
       backend re-fetch.
-    * :meth:`load` serves disk-resident chunks by charging a device
-      read (+ decompress); when node memory allows, the chunk is
-      *promoted* back to RAM, otherwise it streams through and stays
-      disk-resident (a scan larger than RAM cannot thrash the tier).
+    * :meth:`load` serves disk-resident chunks from the device.  When
+      node memory covers the chunk, it reads the whole stored chunk
+      (+ decompress) and *promotes* it back to RAM.  Otherwise a read
+      of one file streams through: it costs only that file's stored
+      extent and leaves the chunk disk-resident (a scan larger than RAM
+      cannot thrash the tier).
 
+    A read-through costs the file's extent; a promotion (or a caller
+    that asks for the whole chunk) costs the whole stored chunk.
     Concurrent promote/demote of one chunk is single-flighted through
     ``_moving``: the second mover waits for the first and then re-reads
     the (settled) tier state instead of racing the byte accounting.
-    Reads are chunk-granular — one file read from a disk-resident chunk
-    charges the whole stored chunk, the same unit the backend fetch
-    path uses.
+    Extent reads move nothing, so they only wait for a move already in
+    flight and run concurrently with each other; ``_readers`` counts
+    them per key so disk-capacity eviction skips a chunk being read.
     """
 
     kind = "tiered"
@@ -421,6 +430,8 @@ class TieredStore(RamStore):
         )
         #: Promote/demote single-flight, keyed by chunk key.
         self._moving = SingleFlight(env)
+        #: key → in-flight extent reads (keys with none are absent).
+        self._readers: Dict[str, int] = {}
 
     def stored_size(self, key: str, nbytes: int) -> int:
         """On-disk footprint of a chunk (post-compression when enabled)."""
@@ -439,7 +450,7 @@ class TieredStore(RamStore):
         while self._disk_stored + stored > self.capacity_bytes:
             victim = None
             for key in self._disk:
-                if key in self._moving:
+                if key in self._moving or key in self._readers:
                     continue
                 if evictable is None or evictable(key):
                     victim = key
@@ -492,15 +503,27 @@ class TieredStore(RamStore):
         return "disk"
 
     # ------------------------------------------------------- promote / demote
+    def _can_promote(self, nbytes: int) -> bool:
+        return self.node.alive and self.node.memory.level >= nbytes
+
+    def _note_disk_hit(self) -> None:
+        self._stats.disk_hits += 1
+        rec = self.recorder
+        if rec is not None:
+            rec.count("tier_hit", "disk")
+
     def load(
-        self, key: str
+        self, key: str, path: Optional[str] = None
     ) -> Generator[Event, Any, Optional[Tuple[Chunk, int]]]:
         """Serve a chunk from whichever tier holds it, charging costs.
 
-        RAM: free.  Disk: one device read of the stored bytes plus the
-        decompress cost; the chunk is promoted to RAM when node memory
-        covers it *after* the read (memory may have filled meanwhile),
-        else it stays disk-resident (read-through).
+        RAM: free.  Disk, when node memory cannot cover the chunk and
+        ``path`` names one of its files: a read-through of that file's
+        extent (:meth:`_read_extent`).  Otherwise (memory covers it, or
+        the caller wants the whole chunk): one device read of the whole
+        stored chunk plus its decompress cost; the chunk is promoted to
+        RAM when memory still covers it *after* the read (memory may
+        have filled meanwhile), else it stays disk-resident.
         """
         got = self.get(key)
         if got is not None:
@@ -515,29 +538,52 @@ class TieredStore(RamStore):
             return None
         chunk, nbytes, stored = entry
         self._disk.move_to_end(key)
+        if path is not None and path in chunk and not self._can_promote(nbytes):
+            return (yield from self._read_extent(key, chunk, nbytes, path))
         self._moving.begin(key)
         try:
             t0 = self.env.now
             yield from self.device.read(stored)
             if self.compression:
                 yield self.env.timeout(nbytes / DECOMPRESS_BPS)
-            self._stats.disk_hits += 1
-            rec = self.recorder
-            if rec is not None:
-                rec.count("tier_hit", "disk")
-            if self.node.alive and self.node.memory.level >= nbytes:
+            self._note_disk_hit()
+            if self._can_promote(nbytes):
                 yield self.node.memory.get(nbytes)
                 self._drop_disk(key)
                 self._ram[key] = (chunk, nbytes)
                 self._ram_bytes += nbytes
                 self._stats.promotions += 1
                 self._stats.bytes_promoted += nbytes
+                rec = self.recorder
                 if rec is not None:
                     rec.record("tier_promote", "disk",
                                self.env.now - t0, nbytes=nbytes)
             return chunk, nbytes
         finally:
             self._moving.end(key)
+
+    def _read_extent(
+        self, key: str, chunk: Chunk, nbytes: int, path: str
+    ) -> Generator[Event, Any, Tuple[Chunk, int]]:
+        """Read one file out of a disk-resident chunk, without promoting.
+
+        Chunks are modelled as seekable per-file frames, and the file
+        table already sits in the resident :class:`Chunk`, so the device
+        reads only the file's stored extent (+ its decompress) with no
+        header read.
+        """
+        length = chunk.entry(path).length
+        self._readers[key] = self._readers.get(key, 0) + 1
+        try:
+            yield from self.device.read(self.stored_size(key, length))
+            if self.compression:
+                yield self.env.timeout(length / DECOMPRESS_BPS)
+        finally:
+            left = self._readers.pop(key) - 1
+            if left:
+                self._readers[key] = left
+        self._note_disk_hit()
+        return chunk, nbytes
 
     def displace(
         self, key: str, evictable=None

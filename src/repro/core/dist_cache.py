@@ -231,7 +231,9 @@ class CacheMaster:
         """Serve a remote ``get_file`` from a disk-resident chunk: the
         endpoint runs this generator so the caller's RPC charges the
         disk read (Fig 4's chain gains a tier between RAM and server)."""
-        chunk = yield from self.tier.read_resident(self.dataset, encoded_cid)
+        chunk = yield from self.tier.read_resident(
+            self.dataset, encoded_cid, path
+        )
         if chunk is None or path not in chunk:
             self.stats.misses += 1
             return None
@@ -1005,10 +1007,13 @@ class TaskCache:
         own: Optional[CacheMaster],
     ) -> Generator[Event, Any, Optional[Resolved]]:
         """Serve a file from a disk-resident chunk on the reader's node:
-        a device read (+ decompress, + promote when memory allows), still
-        cheaper than a backend round-trip.  The hit is the ``own``
-        master's, or a cross-task read when ``own`` is None."""
-        chunk = yield from tier.read_resident(self.dataset, encoded_cid)
+        a device read of the file's extent (or of the whole chunk, which
+        is then promoted, when memory allows), still cheaper than a
+        backend round-trip.  The hit is the ``own`` master's, or a
+        cross-task read when ``own`` is None."""
+        chunk = yield from tier.read_resident(
+            self.dataset, encoded_cid, record.path
+        )
         if chunk is None or record.path not in chunk:
             return None
         payload = chunk.payload(record.path, verify=False)

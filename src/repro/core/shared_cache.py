@@ -209,16 +209,20 @@ class SharedChunkCache:
         return self.store.tier_of(self._key(dataset, encoded_cid)) == "disk"
 
     def read_resident(
-        self, dataset: str, encoded_cid: str
+        self, dataset: str, encoded_cid: str, path: Optional[str] = None
     ) -> Generator[Event, Any, Optional[Chunk]]:
         """Cost-charging read of a resident chunk on *any* tier.
 
-        Disk-resident chunks pay the device read (+ decompress) and are
-        promoted back to RAM when node memory allows — the tier hit that
-        makes datasets larger than memory serveable without a backend
-        round-trip.
+        Disk-resident chunks pay the device read (+ decompress) — the
+        tier hit that makes datasets larger than memory serveable
+        without a backend round-trip.  When node memory allows, the
+        whole chunk is read and promoted back to RAM; otherwise a read
+        of the one file ``path`` costs only that file's extent.  Pass no
+        ``path`` to read the whole chunk (the drain/warm path).
         """
-        got = yield from self.store.load(self._key(dataset, encoded_cid))
+        got = yield from self.store.load(
+            self._key(dataset, encoded_cid), path
+        )
         return got[0] if got is not None else None
 
     def note_cross_task_read(self) -> None:

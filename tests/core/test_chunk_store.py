@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import Node
 from repro.core.chunk import Chunk
 from repro.core.chunk_store import (
+    DECOMPRESS_BPS,
     MAX_COMPRESSION_RATIO,
     MIN_COMPRESSION_RATIO,
     RamStore,
@@ -20,6 +21,15 @@ CHUNK = 64 * 1024
 
 def make_chunk(key="c0", size=CHUNK):
     return Chunk.build(key, [(f"{key}/payload.bin", b"x" * (size - 256))])
+
+
+def make_multi_chunk(key="c0", n_files=4, size=CHUNK):
+    """A chunk of ``n_files`` equal files filling about ``size`` bytes."""
+    each = (size - 256) // n_files
+    return Chunk.build(
+        key,
+        [(f"{key}/f{i}.bin", bytes([i]) * each) for i in range(n_files)],
+    )
 
 
 def rig(memory_bytes=4 * CHUNK, scheduler="calendar", **spec_kw):
@@ -161,6 +171,8 @@ class TestTieredStore:
         run(env, store.put("c1", make_chunk("c1"), CHUNK))
         got = run(env, store.load("c1"))
         assert got is not None
+        # No file path: the caller wants the whole stored chunk.
+        assert store.device.stats.read_bytes == CHUNK
         # RAM is full: the read streams through without displacing c0.
         assert store.tier_of("c1") == "disk"
         assert store.tier_of("c0") == "ram"
@@ -313,3 +325,90 @@ class TestTieredStore:
         a = episode("calendar")
         b = episode("heap")
         assert a == b
+
+
+class TestExtentReads:
+    """A read of one file from a disk-resident chunk that cannot be
+    promoted costs that file's stored extent, not the whole chunk."""
+
+    def _disk_rig(self, **spec_kw):
+        """RAM holds ``hold``; ``d0`` (4 files) sits on the disk tier."""
+        env, node, store = rig(
+            memory_bytes=CHUNK, cache_store="tiered", **spec_kw
+        )
+        run(env, store.put("hold", make_chunk("hold"), CHUNK))
+        chunk = make_multi_chunk("d0")
+        assert run(env, store.put("d0", chunk, CHUNK)) == "disk"
+        return env, node, store, chunk
+
+    def test_read_through_charges_only_the_file_extent(self):
+        env, node, store, chunk = self._disk_rig()
+        path = chunk.paths[1]
+        length = chunk.entry(path).length
+        got = run(env, store.load("d0", path))
+        assert got is not None and got[0] is chunk
+        assert got[0].payload(path) == bytes([1]) * length
+        assert store.device.stats.read_bytes == length
+        assert store.device.stats.read_ops == 1
+        assert store.tier_of("d0") == "disk"
+        assert store.tier_of("hold") == "ram"
+        assert store.stats.promotions == 0
+        assert store.stats.disk_hits == 1
+
+    def test_promotion_charges_the_whole_chunk(self):
+        env, node, store, chunk = self._disk_rig()
+        store.drop("hold")  # free RAM: the chunk can be promoted
+        got = run(env, store.load("d0", chunk.paths[1]))
+        assert got is not None
+        assert store.device.stats.read_bytes == CHUNK
+        assert store.tier_of("d0") == "ram"
+        assert store.stats.promotions == 1
+        assert store.stats.disk_hits == 1
+
+    def test_compressed_read_through_charges_stored_extent_and_decompress(self):
+        env, node, store, chunk = self._disk_rig(chunk_compression=True)
+        path = chunk.paths[2]
+        length = chunk.entry(path).length
+        extent = store.stored_size("d0", length)
+        assert extent < length
+        t0 = env.now
+        run(env, store.load("d0", path))
+        assert store.device.stats.read_bytes == extent
+        assert env.now - t0 == pytest.approx(
+            store.device.op_time(extent) + length / DECOMPRESS_BPS
+        )
+        assert store.tier_of("d0") == "disk"
+
+    def test_concurrent_extent_reads_overlap_on_the_device(self):
+        env, node, store, chunk = self._disk_rig()
+        a, b = chunk.paths[0], chunk.paths[3]
+        single = store.device.op_time(chunk.entry(a).length)
+        t0 = env.now
+        done = []
+
+        def reader(path):
+            got = yield from store.load("d0", path)
+            assert got is not None
+            done.append(env.now - t0)
+
+        procs = [env.process(reader(a)), env.process(reader(b))]
+        env.run(until=env.all_of(procs))
+        assert len(done) == 2
+        # Neither read queued behind the other's move single-flight.
+        assert max(done) < 2 * single
+        assert store.stats.disk_hits == 2
+
+    def test_inflight_extent_read_pins_chunk_against_disk_eviction(self):
+        env, node, store, chunk = self._disk_rig(disk_tier_bytes=CHUNK)
+        path = chunk.paths[0]
+        single = store.device.op_time(chunk.entry(path).length)
+        reader = env.process(store.load("d0", path))
+        env.run(until=env.now + single / 2)  # the read is in flight
+        # The only disk chunk is being read: no victim, admission fails.
+        assert run(env, store.put("d1", make_chunk("d1"), CHUNK)) is None
+        assert store.tier_of("d0") == "disk"
+        assert env.run(until=reader) is not None
+        # Once the read ends the chunk is an ordinary LRU victim again.
+        assert run(env, store.put("d1", make_chunk("d1"), CHUNK)) == "disk"
+        assert store.tier_of("d0") is None
+        assert store.stats.disk_evictions == 1

@@ -471,36 +471,42 @@ class TestRecoveryRefcounts:
         dep.run(epoch(c1))
 
 
+def one_task_tiered_rig():
+    """One task whose only master sits on a node with RAM for 4 of the
+    dataset's 16 chunks; warmup leaves the other 12 on its disk tier.
+    Returns ``(dep, registry, cache, master, files, index)``."""
+    dep = build_deployment(n_client_nodes=1)
+    files = small_files(64, size=1024)
+    writer = write_dataset(dep, "ds", files, chunk_size=4 * 1024)
+
+    def load():
+        blob = yield from writer.save_meta()
+        yield from writer.load_meta(blob)
+
+    dep.run(load())
+    index = writer.index
+    assert len(index.chunk_ids()) == 16
+    chunk_bytes = max(len(dep.store.peek(k)) for k in dep.store.list_keys())
+    node = dep.fabric.add_node(
+        Node(dep.env, "tiny", memory_bytes=4 * chunk_bytes + 1)
+    )
+    registry = SharedCacheRegistry(dep.env, store="tiered")
+    cc = CacheClient("cc0", node, 0)
+    cache = TaskCache(dep.env, dep.fabric, dep.server, "ds", [cc],
+                      shared=registry)
+    dep.run(cache.register())
+    dep.run(cache.wait_warm())
+    assert registry.store_stats.chunks_disk == 12
+    return dep, registry, cache, cache.masters[node.name], files, index
+
+
 class TestOneTaskOnTieredTier:
     def test_own_disk_chunks_are_master_hits_not_cross_task_reads(self):
         """A task alone on a tiered tier reads its own disk-resident
         chunks: every read is a hit on its master, none a cross-task
         read (12 of the 16 chunks sit on disk)."""
-        dep = build_deployment(n_client_nodes=1)
-        files = small_files(64, size=1024)
-        writer = write_dataset(dep, "ds", files, chunk_size=4 * 1024)
-
-        def load():
-            blob = yield from writer.save_meta()
-            yield from writer.load_meta(blob)
-
-        dep.run(load())
-        index = writer.index
-        chunks = index.chunk_ids()
-        assert len(chunks) == 16
-        chunk_bytes = max(
-            len(dep.store.peek(k)) for k in dep.store.list_keys()
-        )
-        node = dep.fabric.add_node(
-            Node(dep.env, "tiny", memory_bytes=4 * chunk_bytes + 1)
-        )
-        registry = SharedCacheRegistry(dep.env, store="tiered")
-        cc = CacheClient("cc0", node, 0)
-        cache = TaskCache(dep.env, dep.fabric, dep.server, "ds", [cc],
-                          shared=registry)
-        dep.run(cache.register())
-        dep.run(cache.wait_warm())
-        assert registry.store_stats.chunks_disk == 12
+        dep, registry, cache, master, files, index = one_task_tiered_rig()
+        cc = master.client
 
         def epoch():
             for path, expected in files.items():
@@ -508,9 +514,45 @@ class TestOneTaskOnTieredTier:
                 assert data == expected
 
         dep.run(epoch())
-        master = cache.masters[node.name]
         assert master.stats.hits == 64
         assert registry.stats.cross_task_reads == 0
         assert cache.stats.disk_hits == 48
         assert cache.stats.local_hits == 16
         assert cache.stats.shared_hits == 0
+
+    def test_peer_get_file_reads_the_extent_and_drain_the_whole_chunk(self):
+        """Over the owner's RPC endpoint, a peer ``get_file`` from a
+        disk-resident chunk charges the owner's NVMe only the file's
+        bytes; a drain ``get_chunk`` of the same chunk charges the
+        whole stored chunk."""
+        dep, registry, cache, master, files, index = one_task_tiered_rig()
+        peer = dep.client_nodes[0]
+        cid = next(
+            c for c in master.assigned
+            if master.tier.disk_resident("ds", c)
+        )
+        key = f"ds/{cid}"
+        store = master.tier.store
+        chunk = store.chunk_object(key)
+        path = chunk.paths[1]
+        device = store.device
+
+        def get_file():
+            return (yield from master.endpoint.call(
+                peer, "get_file", cid, path, response_bytes=len(files[path])
+            ))
+
+        before = device.stats.read_bytes
+        assert dep.run(get_file()) == files[path]
+        assert device.stats.read_bytes - before == len(files[path])
+        assert master.tier.disk_resident("ds", cid)
+
+        def get_chunk():
+            return (yield from master.endpoint.call(peer, "get_chunk", cid))
+
+        before = device.stats.read_bytes
+        blob = dep.run(get_chunk())
+        assert blob == chunk.encode()
+        assert device.stats.read_bytes - before == store.stored_size(
+            key, store.nbytes_of(key)
+        )
