@@ -2,16 +2,17 @@
 
 Smoke-mode version of the ``scale`` experiment (50 nodes, 10⁴ requests
 — CI-sized; the full artifact is the 1000-node, 10⁶-request epoch in
-``BENCH_scale.json``).  Guards three properties:
+``BENCH_scale.json``).  Both variants run on the same kernel and differ
+only in admission batching.  Guards three properties:
 
-* **semantic equivalence** — the heap+per-request and calendar+batched
-  variants produce identical read/hit/stat counters;
+* **semantic equivalence** — the per-request and batched variants
+  produce identical read/hit/stat counters;
 * **vectorized-admission speedup** — epoch-normalized sim-events/sec of
-  the batched variant is ≥ 3× the heapq baseline (the full-scale run
-  is far higher; 3× is the regression floor);
-* **kernel throughput floor** — the baseline kernel itself sustains a
-  minimum raw event rate, so a scheduler or event-core regression
-  fails the build rather than just slowing it.
+  the batched variant is ≥ 3× the per-request variant (the full-scale
+  run is far higher; 3× is the regression floor);
+* **kernel throughput floor** — the kernel itself sustains a minimum
+  raw event rate on the per-request variant, so an event-core
+  regression fails the build rather than just slowing it.
 """
 
 import pytest
@@ -30,8 +31,8 @@ SPEEDUP_FLOOR = 3.0
 def test_engine_scale_smoke(experiment):
     result = experiment(scale_engine, n_nodes=50, n_requests=10_000, batch=64)
 
-    base = result.one(variant="heap+per-request")
-    fast = result.one(variant="calendar+batched")
+    base = result.one(variant="per-request")
+    fast = result.one(variant="batched")
     speedup = result.one(variant="speedup")
 
     # Semantic equivalence: same epoch, same counters, both variants.
@@ -47,38 +48,3 @@ def test_engine_scale_smoke(experiment):
     # Throughput floors.
     assert base["kernel_events_per_sec"] > KERNEL_FLOOR
     assert speedup["events_per_sec"] >= SPEEDUP_FLOOR
-
-
-@pytest.mark.benchmark(group="scale")
-def test_engine_scale_scheduler_only(benchmark):
-    """Scheduler A/B at fixed admission: calendar must not lose to heap
-    by more than noise on the identical per-request workload."""
-    from repro.sim import Environment
-
-    def run():
-        rates = {}
-        for scheduler in ("heap", "calendar"):
-            env = Environment(scheduler=scheduler)
-            # Bimodal pending set: a large far-future backlog plus a
-            # near-term tick stream — the fabric-like regime.
-            for i in range(50_000):
-                env.timeout(100.0 + i * 1e-5)
-
-            def ticker(env, n):
-                for _ in range(n):
-                    yield env.timeout(1e-4)
-
-            for _ in range(100):
-                env.process(ticker(env, 500))
-            env.run(until=99.0)
-            es = env.engine_stats()
-            rates[scheduler] = es.events_per_sec
-        return rates
-
-    rates = benchmark.pedantic(run, rounds=1, iterations=1)
-    print(f"\nheap: {rates['heap']:,.0f} ev/s  "
-          f"calendar: {rates['calendar']:,.0f} ev/s "
-          f"({rates['calendar'] / rates['heap']:.2f}x)")
-    # The calendar queue must at least hold its own against the C heapq
-    # at high occupancy (it typically wins; 0.8 bounds the regression).
-    assert rates["calendar"] > 0.8 * rates["heap"]

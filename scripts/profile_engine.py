@@ -4,11 +4,10 @@
 Runs a synthetic epoch (pre-scheduled arrivals + ticker processes +
 RPC-style machinery via the scale experiment's workload) under cProfile
 and prints the hottest frames by cumulative and internal time, so a
-scheduler or event-core regression can be diagnosed in one command::
+kernel regression can be diagnosed in one command::
 
     PYTHONPATH=src python scripts/profile_engine.py
-    PYTHONPATH=src python scripts/profile_engine.py --scheduler heap \\
-        --requests 50000 --top 30
+    PYTHONPATH=src python scripts/profile_engine.py --requests 50000 --top 30
 
 The default workload is the smoke-scale epoch (CI-sized); crank
 ``--requests`` for a longer profile.
@@ -26,9 +25,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="cProfile the simulation engine's hot loop"
     )
-    parser.add_argument("--scheduler", choices=("calendar", "heap"),
-                        default="calendar",
-                        help="event queue to profile (default: calendar)")
     parser.add_argument("--nodes", type=int, default=50,
                         help="client nodes in the epoch (default: 50)")
     parser.add_argument("--requests", type=int, default=20_000,
@@ -51,7 +47,7 @@ def main(argv=None) -> int:
     from repro.rpc.endpoint import RpcEndpoint
     from repro.sim import Environment
 
-    env = Environment(scheduler=args.scheduler)
+    env = Environment()
     fabric = NetworkFabric(env, DEFAULT.network)
     server = fabric.add_node(Node(env, "srv0", nic_channels=8))
     clients = [fabric.add_node(Node(env, f"cl{i}"))
@@ -90,7 +86,7 @@ def main(argv=None) -> int:
     profiler.disable()
 
     es = env.engine_stats()
-    print(f"scheduler={es.scheduler}  sim_events={es.sim_events:,}  "
+    print(f"sim_events={es.sim_events:,}  "
           f"wall={es.run_wall_s:.3f}s  "
           f"events/sec={es.events_per_sec:,.0f}  "
           f"peak_occupancy={es.peak_occupancy:,}  "

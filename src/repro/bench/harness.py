@@ -18,7 +18,7 @@ class ExperimentResult:
     rows: List[Dict[str, Any]] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
     wall_seconds: float = 0.0
-    #: Engine throughput over the experiment's environments — scheduler,
+    #: Engine throughput over the experiment's environments —
     #: sim_events, events_per_sec, peak_occupancy (see
     #: :func:`repro.sim.engine.aggregate_engine_stats`); stamped by
     #: :class:`timer`, empty when no environment ran inside it.

@@ -72,8 +72,7 @@ def format_result(result: ExperimentResult) -> str:
         parts.append(
             f"(engine: {e.get('sim_events', 0):,} events @ "
             f"{e.get('events_per_sec', 0.0):,.0f}/s, "
-            f"peak occupancy {e.get('peak_occupancy', 0):,}, "
-            f"scheduler {e.get('scheduler', '?')})"
+            f"peak occupancy {e.get('peak_occupancy', 0):,})"
         )
     return "\n".join(parts)
 
@@ -86,7 +85,7 @@ def result_to_dict(result: ExperimentResult) -> Dict[str, Any]:
         "rows": result.rows,
         "notes": result.notes,
         "wall_seconds": result.wall_seconds,
-        # Engine throughput (events_per_sec, peak scheduler occupancy)
+        # Engine throughput (events_per_sec, peak event-heap occupancy)
         # for the environments the experiment ran — every BENCH_*.json
         # records how hard the DES kernel worked to produce it.
         "engine": result.engine,

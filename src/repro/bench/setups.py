@@ -68,11 +68,9 @@ def make_testbed(
     n_compute: int = 10,
     n_storage: int = 6,
     cal: Calibration = DEFAULT,
-    scheduler: Optional[str] = None,
 ) -> Testbed:
-    """Wire the shared fabric; ``scheduler`` picks the DES queue
-    (``DieselConfig.sim_scheduler``; None = the environment default)."""
-    env = Environment(scheduler=scheduler)
+    """Wire the shared fabric."""
+    env = Environment()
     fabric = NetworkFabric(env, cal.network)
     storage = [
         fabric.add_node(Node(env, f"storage{i}", nic_channels=8))

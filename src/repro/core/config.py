@@ -34,12 +34,6 @@ class DieselConfig:
     #: scatters across servers and cache masters.  1 = resolve the
     #: batch's chunk groups serially (legacy).
     read_fanout: int = 1
-    #: Discrete-event scheduler backing the simulation Environment:
-    #: 'calendar' (calendar-queue/timer-wheel, near-O(1) under the
-    #: fabric's bimodal delays) or 'heap' (flat binary heap baseline
-    #: kept for A/B testing).  Same-tick FIFO order is identical under
-    #: both.
-    sim_scheduler: str = "calendar"
     #: Failure-detector probe period (seconds of simulated time).  Each
     #: watched peer is probed once per interval.
     heartbeat_interval_s: float = 0.05
@@ -99,8 +93,6 @@ class DieselConfig:
             raise ValueError("ingest_pipeline_depth must be >= 1")
         if self.read_fanout < 1:
             raise ValueError("read_fanout must be >= 1")
-        if self.sim_scheduler not in ("calendar", "heap"):
-            raise ValueError(f"unknown sim scheduler: {self.sim_scheduler!r}")
         if self.heartbeat_interval_s <= 0:
             raise ValueError("heartbeat_interval_s must be positive")
         if self.failure_timeout_s <= self.heartbeat_interval_s:

@@ -1,44 +1,28 @@
 """Event loop, events and generator-based processes.
 
-The design follows the classic DES structure: a scheduler of
-``(time, seq, event)`` entries; an :class:`Event` fires its callbacks when
-popped; a :class:`Process` wraps a generator whose ``yield``-ed events
-decide when it resumes.  ``return value`` inside a process generator
-becomes the process's :attr:`~Event.value`.
+The design follows the classic DES structure: one binary heap
+(``heapq``) of ``(time, seq, event)`` entries; an :class:`Event` fires
+its callbacks when popped; a :class:`Process` wraps a generator whose
+``yield``-ed events decide when it resumes.  ``return value`` inside a
+process generator becomes the process's :attr:`~Event.value`.
 
-Two schedulers sit behind the same ``_schedule``/``step``/``peek``/``run``
-API (selectable per :class:`Environment`, default ``"calendar"``):
+Entries carry a monotonically increasing ``seq`` and compare
+``(time, seq)``, so events scheduled for the same instant fire in
+creation order.
 
-* ``"calendar"`` — a calendar queue (Brown 1988) with a small binary heap
-  over the *current* bucket-year only.  Enqueue of a future event is a
-  plain list append into its bucket; dequeue pops the active heap and
-  harvests the next bucket-year when it drains.  Bucket count and width
-  recalibrate automatically as the queue grows and shrinks, so both the
-  dense near-term band and the sparse far tail of a bimodal delay
-  distribution stay O(1)-ish.
-* ``"heap"`` — the flat ``heapq`` of the original kernel, kept as an A/B
-  baseline (``REPRO_SIM_SCHEDULER=heap`` flips the default).
-
-Same-tick FIFO is identical under both: entries carry a monotonically
-increasing ``seq`` and compare ``(time, seq)``, so events scheduled for
-the same instant fire in creation order.
-
-The hot path is deliberately low-churn: ``Environment.timeout`` recycles
-:class:`Timeout` objects through a free list (an event is returned to the
-pool only when ``step`` can prove, by refcount, that nobody else holds
-it); a process resuming on an already-processed event continues inline
-instead of allocating a bridge event; and ``step`` itself is pre-bound to
-a traced or untraced body when a tracer attaches/detaches, so detached
-observability costs zero branches per event.
+A process resuming on an already-processed event continues inline (the
+trampoline in :meth:`Process._resume`) instead of allocating a bridge
+event and a round-trip through the heap.  ``step`` checks once per
+event whether a :class:`~repro.sim.trace.Tracer` is attached, so a
+tracer attached or detached while :meth:`Environment.run` is looping
+takes effect on the next event.
 """
 
 from __future__ import annotations
 
-import os
 import weakref
 from collections import deque
-from heapq import heapify, heappop, heappush
-from sys import getrefcount
+from heapq import heappop, heappush
 from time import perf_counter
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -109,13 +93,6 @@ class Event:
         self.env._schedule(self)
         return self
 
-    def _run_callbacks(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        self._processed = True
-        assert callbacks is not None
-        for cb in callbacks:
-            cb(self)
-
     def __repr__(self) -> str:
         state = (
             "pending"
@@ -126,12 +103,7 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` simulated seconds after creation.
-
-    Prefer :meth:`Environment.timeout`, which recycles instances through
-    the environment's free list; constructing ``Timeout`` directly always
-    allocates.
-    """
+    """An event that fires ``delay`` simulated seconds after creation."""
 
     __slots__ = ("delay",)
 
@@ -214,7 +186,7 @@ class Process(Event):
         env._active_process = self
         # Trampoline: yielding an already-processed event (a finished
         # process, a triggered timeout held from earlier) resumes the
-        # generator inline — no bridge event, no scheduler round-trip.
+        # generator inline — no bridge event, no heap round-trip.
         while True:
             try:
                 if event._ok:
@@ -473,239 +445,6 @@ def fan_out(
     return results
 
 
-# --------------------------------------------------------------------------
-# Schedulers.  Both hold (time, seq, Event) entries and expose the same
-# push/pop/peek_time surface; ``seq`` ties same-tick FIFO order to event
-# creation order under either implementation.
-# --------------------------------------------------------------------------
-
-
-class _HeapQueue:
-    """The flat binary heap of the original kernel (A/B baseline)."""
-
-    __slots__ = ("_heap", "peak")
-
-    name = "heap"
-
-    def __init__(self, anchor: float = 0.0) -> None:
-        self._heap: list[tuple[float, int, Event]] = []
-        self.peak = 0
-
-    def push(self, t: float, seq: int, event: Event) -> None:
-        heap = self._heap
-        heappush(heap, (t, seq, event))
-        if len(heap) > self.peak:
-            self.peak = len(heap)
-
-    def pop(self) -> tuple[float, int, Event]:
-        return heappop(self._heap)
-
-    def peek_time(self) -> float:
-        heap = self._heap
-        return heap[0][0] if heap else _INF
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
-class _CalendarQueue:
-    """Calendar queue with a heap over the current bucket-year only.
-
-    Every entry is classified by its integer *year* ``int(t / width)``;
-    the same expression everywhere, so no entry can straddle a year
-    boundary through float rounding.  Invariants:
-
-    * every entry whose year is ``<= _year`` lives in ``_active`` (a
-      small binary heap; same ``(time, seq)`` ordering as the flat
-      heap);
-    * every other entry lives in bucket ``year % nbuckets`` as an
-      unsorted list — enqueue is an append, O(1).
-
-    When ``_active`` drains, the next non-empty bucket-year is split out,
-    heapified (timsort-grade C work on a handful of entries) and becomes
-    the new active heap.  A full fruitless revolution falls back to a
-    direct minimum search and jumps the calendar there, so sparse far
-    tails cannot spin the harvest loop.  Bucket count doubles/halves with
-    occupancy and the bucket width recalibrates from the observed
-    inter-event gaps at every resize.
-    """
-
-    __slots__ = ("_buckets", "_nbuckets", "_mask", "_width", "_inv_width",
-                 "_year", "_active", "_count", "_grow_at",
-                 "_shrink_at", "peak")
-
-    name = "calendar"
-
-    #: Bucket-count bounds; growth doubles within, shrink halves within.
-    MIN_BUCKETS = 64
-    MAX_BUCKETS = 1 << 17
-
-    def __init__(
-        self, anchor: float = 0.0, nbuckets: int = 256, width: float = 1e-3
-    ) -> None:
-        self._nbuckets = nbuckets
-        self._mask = nbuckets - 1
-        self._width = width
-        self._inv_width = 1.0 / width
-        self._buckets: list[list[tuple[float, int, Event]]] = [
-            [] for _ in range(nbuckets)
-        ]
-        #: Current bucket-year: ``_active`` holds every entry with
-        #: ``int(t * _inv_width) <= _year``.
-        self._year = int(anchor * self._inv_width)
-        self._active: list[tuple[float, int, Event]] = []
-        self._count = 0
-        self._grow_at = nbuckets * 4
-        self._shrink_at = nbuckets // 4
-        self.peak = 0
-
-    def push(self, t: float, seq: int, event: Event) -> None:
-        count = self._count + 1
-        self._count = count
-        if count > self.peak:
-            self.peak = count
-        year = int(t * self._inv_width)
-        if year <= self._year:
-            heappush(self._active, (t, seq, event))
-        else:
-            self._buckets[year & self._mask].append((t, seq, event))
-        if count > self._grow_at and self._nbuckets < self.MAX_BUCKETS:
-            nb = self._nbuckets
-            while count > nb * 4 and nb < self.MAX_BUCKETS:
-                nb <<= 1
-            self._rebuild(nb)
-
-    def pop(self) -> tuple[float, int, Event]:
-        active = self._active
-        if not active:
-            if not self._count:
-                raise IndexError("pop from empty calendar queue")
-            self._advance()
-            active = self._active
-        count = self._count - 1
-        self._count = count
-        if count < self._shrink_at and self._nbuckets > self.MIN_BUCKETS:
-            entry = heappop(active)
-            nb = self._nbuckets
-            while count < nb // 4 and nb > self.MIN_BUCKETS:
-                nb >>= 1
-            self._rebuild(nb)
-            return entry
-        return heappop(active)
-
-    def peek_time(self) -> float:
-        active = self._active
-        if not active:
-            if not self._count:
-                return _INF
-            self._advance()
-            active = self._active
-        return active[0][0]
-
-    def __len__(self) -> int:
-        return self._count
-
-    # -- internals --------------------------------------------------------
-    def _harvest(self, k: int) -> bool:
-        """Split year ``k``'s entries out of its bucket into ``_active``;
-        returns whether any were found."""
-        inv = self._inv_width
-        i = k & self._mask
-        bucket = self._buckets[i]
-        due = [e for e in bucket if int(e[0] * inv) == k]
-        if not due:
-            return False
-        if len(due) == len(bucket):
-            bucket.clear()
-        else:
-            self._buckets[i] = [e for e in bucket if int(e[0] * inv) != k]
-        heapify(due)
-        self._active = due
-        self._year = k
-        return True
-
-    def _advance(self) -> None:
-        """Refill the active heap from the next non-empty bucket-year."""
-        buckets = self._buckets
-        mask = self._mask
-        k = self._year
-        for _ in range(self._nbuckets):
-            k += 1
-            if buckets[k & mask] and self._harvest(k):
-                return
-        # A full revolution found nothing due: the pending set is sparse
-        # relative to the calendar span.  Jump straight to the earliest
-        # entry's bucket-year.
-        tmin = _INF
-        for bucket in buckets:
-            for e in bucket:
-                if e[0] < tmin:
-                    tmin = e[0]
-        if tmin is _INF:
-            raise IndexError("pop from empty calendar queue")
-        self._harvest(int(tmin * self._inv_width))
-
-    def _calibrate_width(
-        self, entries: list[tuple[float, int, Event]]
-    ) -> float:
-        """Bucket width from observed inter-event gaps (Brown's rule,
-        de-biased for stride sampling, targeting a handful of entries
-        per bucket-year)."""
-        n = len(entries)
-        if n < 8:
-            return self._width
-        stride = max(1, n // 64)
-        sample = sorted(entries[i][0] for i in range(0, n, stride))
-        gaps = [b - a for a, b in zip(sample, sample[1:]) if b > a]
-        if not gaps:
-            return self._width
-        gaps.sort()
-        median = gaps[len(gaps) // 2] / stride
-        return max(median * 8.0, 1e-9)
-
-    def _rebuild(self, nbuckets: int) -> None:
-        entries = self._active
-        for bucket in self._buckets:
-            if bucket:
-                entries.extend(bucket)
-        self._nbuckets = nbuckets
-        self._mask = nbuckets - 1
-        self._grow_at = nbuckets * 4
-        self._shrink_at = nbuckets // 4
-        buckets: list[list[tuple[float, int, Event]]] = [
-            [] for _ in range(nbuckets)
-        ]
-        self._buckets = buckets
-        if not entries:
-            # Keep the year (width is unchanged with nothing to sample);
-            # the next push or advance re-anchors naturally.
-            self._active = []
-            return
-        width = self._calibrate_width(entries)
-        self._width = width
-        inv = 1.0 / width
-        self._inv_width = inv
-        tmin = min(e[0] for e in entries)
-        k = int(tmin * inv)
-        self._year = k
-        mask = self._mask
-        active: list[tuple[float, int, Event]] = []
-        append = active.append
-        for e in entries:
-            if int(e[0] * inv) <= k:
-                append(e)
-            else:
-                buckets[int(e[0] * inv) & mask].append(e)
-        heapify(active)
-        self._active = active
-
-
-_SCHEDULERS = {"calendar": _CalendarQueue, "heap": _HeapQueue,
-               "heapq": _HeapQueue}
-
-#: Free-list bound: recycled Timeout events kept per environment.
-_TIMEOUT_POOL_MAX = 4096
-
 #: Weak registry of live environments + a creation counter, so the bench
 #: harness can aggregate engine throughput for the envs one experiment
 #: created (see repro.bench.harness.timer).
@@ -722,12 +461,11 @@ class EngineStats:
     """Kernel throughput snapshot; ``to_dict()`` plugs into
     :func:`repro.bench.reporting.stats_row` like any other stats object."""
 
-    __slots__ = ("scheduler", "sim_events", "run_wall_s", "events_per_sec",
+    __slots__ = ("sim_events", "run_wall_s", "events_per_sec",
                  "peak_occupancy")
 
-    def __init__(self, scheduler: str, sim_events: int, run_wall_s: float,
+    def __init__(self, sim_events: int, run_wall_s: float,
                  peak_occupancy: int) -> None:
-        self.scheduler = scheduler
         self.sim_events = sim_events
         self.run_wall_s = run_wall_s
         self.events_per_sec = sim_events / run_wall_s if run_wall_s > 0 else 0.0
@@ -735,7 +473,6 @@ class EngineStats:
 
     def to_dict(self) -> dict:
         return {
-            "scheduler": self.scheduler,
             "sim_events": self.sim_events,
             "run_wall_s": self.run_wall_s,
             "events_per_sec": self.events_per_sec,
@@ -751,53 +488,28 @@ def aggregate_engine_stats(since: int = 0) -> Optional[EngineStats]:
             if e._gen_stamp >= since and e._nevents]
     if not envs:
         return None
-    schedulers = sorted({e.scheduler for e in envs})
     return EngineStats(
-        scheduler="+".join(schedulers),
         sim_events=sum(e._nevents for e in envs),
         run_wall_s=sum(e._run_wall for e in envs),
-        peak_occupancy=max(e._q.peak for e in envs),
+        peak_occupancy=max(e._peak for e in envs),
     )
 
 
 class Environment:
-    """The simulation kernel: clock + scheduler + process registry.
+    """The simulation kernel: clock + event heap + process registry."""
 
-    ``scheduler`` picks the queue implementation (``"calendar"`` or
-    ``"heap"``); ``None`` reads ``REPRO_SIM_SCHEDULER`` and falls back to
-    the calendar queue.
-    """
-
-    def __init__(
-        self, initial_time: float = 0.0, scheduler: Optional[str] = None
-    ) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._seq = 0
         self._active_process: Optional[Process] = None
-        if scheduler is None:
-            scheduler = os.environ.get("REPRO_SIM_SCHEDULER", "calendar")
-        try:
-            queue_cls = _SCHEDULERS[scheduler]
-        except KeyError:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r} "
-                f"(expected one of {sorted(_SCHEDULERS)})"
-            ) from None
-        q = queue_cls(anchor=self._now)
-        self._q = q
-        self._qpush = q.push
-        self._qpop = q.pop
-        self._qpeek = q.peek_time
-        #: Which scheduler implementation this kernel runs on.
-        self.scheduler: str = q.name
-        self._tpool: list[Timeout] = []
+        #: Pending ``(time, seq, event)`` entries, a binary heap.
+        self._queue: list[tuple[float, int, Event]] = []
+        #: Most entries ever pending at once.
+        self._peak = 0
         self._nevents = 0
         self._run_wall = 0.0
         #: Optional event observer (see repro.sim.trace.Tracer.attach).
-        self._tracer_obj = None
-        # Pre-bound step: the untraced body has no observability branch
-        # at all; attaching a tracer swaps in the traced body.
-        self.step = self._step_untraced
+        self._tracer = None
         global _env_next_stamp
         self._gen_stamp = _env_next_stamp
         _env_next_stamp += 1
@@ -812,48 +524,20 @@ class Environment:
     def active_process(self) -> Optional[Process]:
         return self._active_process
 
-    @property
-    def _tracer(self):
-        return self._tracer_obj
-
-    @_tracer.setter
-    def _tracer(self, value) -> None:
-        self._tracer_obj = value
-        self.step = self._step_untraced if value is None else self._step_traced
-
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         seq = self._seq
         self._seq = seq + 1
-        self._qpush(self._now + delay, seq, event)
+        queue = self._queue
+        heappush(queue, (self._now + delay, seq, event))
+        if len(queue) > self._peak:
+            self._peak = len(queue)
 
     # -- public factories -------------------------------------------------
     def event(self) -> Event:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """A :class:`Timeout` from the free list (allocates only when the
-        pool is dry)."""
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
-        pool = self._tpool
-        if pool:
-            evt = pool.pop()
-            evt.callbacks = []
-            evt._value = value
-            evt._processed = False
-            evt.delay = delay
-        else:
-            evt = Timeout.__new__(Timeout)
-            evt.env = self
-            evt.callbacks = []
-            evt._ok = True
-            evt._value = value
-            evt._processed = False
-            evt.delay = delay
-        seq = self._seq
-        self._seq = seq + 1
-        self._qpush(self._now + delay, seq, evt)
-        return evt
+        return Timeout(self, delay, value)
 
     def process(
         self, generator: Generator[Event, Any, Any], name: str = ""
@@ -867,63 +551,36 @@ class Environment:
         return AnyOf(self, events)
 
     # -- execution ---------------------------------------------------------
-    def _step_untraced(self) -> None:
-        """Process the next scheduled event (no tracer attached)."""
+    def step(self) -> None:
+        """Process the next scheduled event."""
         try:
-            t, _, event = self._qpop()
+            t, _, event = heappop(self._queue)
         except IndexError:
             raise DeadlockError("event queue is empty") from None
         if t < self._now:
             raise SimulationError("scheduled time is in the past")
         self._now = t
         self._nevents += 1
+        if self._tracer is not None:
+            self._tracer.observe(t, event)
         callbacks = event.callbacks
         event.callbacks = None
         event._processed = True
         for cb in callbacks:
             cb(event)
-        # Recycle delivered timeouts nobody else holds: the only live
-        # references are our local and getrefcount's argument.
-        if event.__class__ is Timeout and getrefcount(event) == 2:
-            pool = self._tpool
-            if len(pool) < _TIMEOUT_POOL_MAX:
-                event._value = None
-                pool.append(event)
-
-    def _step_traced(self) -> None:
-        """Process the next scheduled event through the tracer."""
-        try:
-            t, _, event = self._qpop()
-        except IndexError:
-            raise DeadlockError("event queue is empty") from None
-        if t < self._now:
-            raise SimulationError("scheduled time is in the past")
-        self._now = t
-        self._nevents += 1
-        self._tracer_obj.observe(t, event)
-        callbacks = event.callbacks
-        event.callbacks = None
-        event._processed = True
-        for cb in callbacks:
-            cb(event)
-        if event.__class__ is Timeout and getrefcount(event) == 2:
-            pool = self._tpool
-            if len(pool) < _TIMEOUT_POOL_MAX:
-                event._value = None
-                pool.append(event)
 
     def peek(self) -> float:
         """Time of the next event, or ``float('inf')`` if none."""
-        return self._qpeek()
+        queue = self._queue
+        return queue[0][0] if queue else _INF
 
     def engine_stats(self) -> EngineStats:
         """Throughput counters for this kernel (events processed, wall
-        seconds inside :meth:`run`, peak scheduler occupancy)."""
+        seconds inside :meth:`run`, peak event-heap occupancy)."""
         return EngineStats(
-            scheduler=self.scheduler,
             sim_events=self._nevents,
             run_wall_s=self._run_wall,
-            peak_occupancy=self._q.peak,
+            peak_occupancy=self._peak,
         )
 
     def run(self, until: "float | Event | None" = None) -> Any:
@@ -938,16 +595,15 @@ class Environment:
         t0 = perf_counter()
         try:
             step = self.step
+            queue = self._queue
             if until is None:
-                pending = self._q.__len__
-                while pending():
+                while queue:
                     step()
                 return None
             if isinstance(until, Event):
                 sentinel = until
-                pending = self._q.__len__
                 while not sentinel.triggered:
-                    if not pending():
+                    if not queue:
                         raise DeadlockError(
                             f"simulation ran dry before {sentinel!r} triggered"
                         )
@@ -960,11 +616,10 @@ class Environment:
                 raise SimulationError(
                     f"run(until={deadline}) is in the past (now={self._now})"
                 )
-            peek = self._qpeek
             # Re-check the queue head after *every* step: a callback in
             # the final step may schedule new work at exactly the
             # deadline, and it must still run before the clock pins.
-            while peek() <= deadline:
+            while queue and queue[0][0] <= deadline:
                 step()
             self._now = deadline
             return None

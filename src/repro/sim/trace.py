@@ -5,14 +5,10 @@ record every processed event — what fired, when, and which process it
 belonged to.  Used to debug experiment hangs and to answer "what was the
 simulation actually doing between t=3ms and t=5ms?".
 
-Tracing is off unless a tracer is attached; the kernel stays zero-cost
-for normal runs — literally zero branches, not just a cheap ``if``:
-:meth:`Tracer.attach` swaps the environment's pre-bound ``step``
-between its untraced and traced variants, so the untraced hot loop
-never tests for a tracer at all (DESIGN.md §10).  :meth:`Tracer.detach`
-swaps it back; note that recycled pooled ``Timeout`` objects make
-object identity across trace records meaningless — use the record's
-fields, not ``is`` comparisons.
+Tracing is off unless a tracer is attached: the kernel's ``step`` pays
+one ``is not None`` check per event for it (DESIGN.md §10).
+:meth:`Tracer.attach` and :meth:`Tracer.detach` take effect on the next
+event, also when called from inside a running process.
 
 Usage::
 

@@ -139,8 +139,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "scale",
-        help="engine throughput probe: heap+per-request vs "
-             "calendar+batched on the same synthetic epoch "
+        help="engine throughput probe: per-request vs batched "
+             "admission on the same synthetic epoch "
              "(smoke-sized by default; no workspace data touched)",
     )
     p.add_argument(
@@ -465,10 +465,11 @@ def cmd_scale(ws: DieselWorkspace, dataset: str, args) -> str:
     """Run the engine scale experiment and print its table.
 
     A pure simulation-substrate probe (synthetic epoch, nothing from the
-    workspace is read or written): both scheduler/admission variants
-    deliver the identical epoch and the table reports events/sec, peak
-    scheduler occupancy and the speedup row — the operator-facing view
-    of ``BENCH_scale.json``.
+    workspace is read or written): the per-request and batched admission
+    variants deliver the identical epoch on the same kernel, and the
+    table reports events/sec, peak event-heap occupancy and the
+    batching speedup row — the operator-facing view of
+    ``BENCH_scale.json``.
     """
     from repro.bench.experiments import scale_engine
     from repro.bench.reporting import format_result

@@ -32,8 +32,8 @@ def make_multi_chunk(key="c0", n_files=4, size=CHUNK):
     )
 
 
-def rig(memory_bytes=4 * CHUNK, scheduler="calendar", **spec_kw):
-    env = Environment(scheduler=scheduler)
+def rig(memory_bytes=4 * CHUNK, **spec_kw):
+    env = Environment()
     node = Node(env, "n0", memory_bytes=memory_bytes)
     spec = make_spec(**spec_kw) if spec_kw else None
     store = make_store(env, node, spec)
@@ -306,11 +306,12 @@ class TestTieredStore:
 
     @pytest.mark.parametrize("compression", [False, True])
     def test_identical_timeline_across_schedulers(self, compression):
-        """Compression round-trip determinism across scheduler variants."""
+        """Compression round-trip determinism: two fresh environments
+        give the same timeline, payload and stats."""
 
-        def episode(scheduler):
+        def episode():
             env, node, store = rig(
-                memory_bytes=2 * CHUNK, scheduler=scheduler,
+                memory_bytes=2 * CHUNK,
                 cache_store="tiered", disk_tier_bytes=8 * CHUNK,
                 chunk_compression=compression,
             )
@@ -322,9 +323,7 @@ class TestTieredStore:
             s = store.stats
             return (env.now, payload, s.disk_stored_bytes, s.to_dict())
 
-        a = episode("calendar")
-        b = episode("heap")
-        assert a == b
+        assert episode() == episode()
 
 
 class TestExtentReads:

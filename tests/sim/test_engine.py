@@ -323,6 +323,42 @@ class TestConditions:
 
 
 class TestRun:
+    def test_peak_occupancy(self):
+        env = Environment()
+        for i in range(10):
+            env.timeout(float(i))
+        env.run(until=4.5)  # delivers t = 0..4, five pending
+        for i in range(3):
+            env.timeout(100.0 + i)
+        assert env.engine_stats().peak_occupancy == 10
+        env.run()
+        stats = env.engine_stats()
+        assert stats.peak_occupancy == 10
+        assert stats.sim_events == 13
+
+    def test_dense_arrival_epoch_completes_in_order(self):
+        """5000 chains arriving at exact ``i / 5000`` instants, each
+        with a sub-gap follow-up, all finish in arrival order without
+        the clock running backwards ("scheduled time is in the
+        past")."""
+        env = Environment()
+        fired = []
+        gap = 1.0 / 5000
+
+        def chain(env, i):
+            yield env.timeout(i * gap)
+            yield env.timeout(2e-6)  # RPC-ish sub-gap follow-up
+            fired.append((i, env.now))
+
+        for i in range(5000):
+            env.process(chain(env, i))
+        env.run()
+        assert [i for i, _ in fired] == list(range(5000))
+        times = [t for _, t in fired]
+        assert times == sorted(times)
+        # Per chain: start, two timeouts, completion.
+        assert env.engine_stats().sim_events == 4 * 5000
+
     def test_deadlock_detection(self):
         env = Environment()
 

@@ -72,6 +72,41 @@ class TestTracer:
         workload(env, n=5)
         assert tracer.total_events == before
 
+    def test_attach_inside_a_running_process(self):
+        """Regression: ``run`` once bound the untraced step before the
+        loop, so a tracer attached mid-run recorded nothing."""
+        env = Environment()
+        tracers = []
+
+        def ticker(env):
+            tracers.append(Tracer.attach(env))
+            for _ in range(5):
+                yield env.timeout(1.0)
+
+        env.process(ticker(env))
+        env.run()
+        # Five timeouts plus the process-completion event.
+        assert tracers[0].total_events == 6
+        assert tracers[0].counts_by_kind() == {"Timeout": 5, "Process": 1}
+
+    def test_detach_inside_a_running_process(self):
+        """Regression: ``run`` once bound the traced step before the
+        loop, so a mid-run detach crashed the next step."""
+        env = Environment()
+        tracer = Tracer.attach(env)
+
+        def ticker(env):
+            yield env.timeout(1.0)
+            Tracer.detach(env)
+            for _ in range(5):
+                yield env.timeout(1.0)
+
+        env.process(ticker(env))
+        env.run()
+        assert env.now == 6.0
+        # The process start and the first timeout, nothing after.
+        assert tracer.total_events == 2
+
     def test_process_names_visible(self):
         env = Environment()
         tracer = Tracer.attach(env)

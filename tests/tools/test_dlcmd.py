@@ -172,7 +172,7 @@ class TestDlcmd:
         assert run(tmp_path, "scale", "-n", "500", "-N", "10", "-b", "16") == 0
         out = capsys.readouterr().out
         assert "engine scale" in out
-        assert "heap+per-request" in out and "calendar+batched" in out
+        assert "per-request" in out and "batched" in out
         assert "events_per_sec" in out and "speedup" in out
 
     def test_scale_rejects_bad_sizes(self, tmp_path, capsys):
