@@ -25,7 +25,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-DEFAULT = ("capacity", "elastic", "fanout", "faults", "locality", "sharing")
+DEFAULT = (
+    "capacity", "elastic", "fanout", "faults", "latency", "locality", "sharing",
+)
 
 
 def row_diffs(committed: list, fresh: list) -> list[str]:

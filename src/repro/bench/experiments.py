@@ -1403,8 +1403,8 @@ def latency_breakdown(
 ) -> ExperimentResult:
     """Per-layer read latency: where DL_get time goes, with percentiles.
 
-    Attaches an :class:`repro.obs.SpanRecorder` to one client and the
-    DIESEL servers, then drives the two read paths the observability
+    Attaches an :class:`repro.obs.SpanRecorder` to the simulation, then
+    drives the two read paths the observability
     layer was built to explain: a chunk-wise-shuffled epoch of single
     ``get`` calls (prefetch pipeline active, so most files resolve in
     the local group cache) followed by a batched ``get_many`` over a
@@ -1437,7 +1437,7 @@ def latency_breakdown(
                 read_fanout=read_fanout,
             ),
         )
-        recorder = SpanRecorder.attach(reader, *tb.diesel_servers)
+        recorder = SpanRecorder.attach(tb.env)
         reader.enable_shuffle()
         plan = reader.epoch_file_list(seed=11)
 
@@ -1553,16 +1553,15 @@ def fig_faults(
             failure_timeout_s=failure_timeout_s,
         )
         cache.configure_ft(ft_cfg)
-        recorder = SpanRecorder.attach(cache)
+        recorder = SpanRecorder.attach(tb.env)
         detector = FailureDetector(
             tb.env, heartbeat_interval_s=ft_cfg.heartbeat_interval_s,
-            failure_timeout_s=ft_cfg.failure_timeout_s, recorder=recorder,
+            failure_timeout_s=ft_cfg.failure_timeout_s,
         )
-        cache_sup = CacheSupervisor(detector, cache, fanout=2,
-                                    recorder=recorder)
+        cache_sup = CacheSupervisor(detector, cache, fanout=2)
         kv_sup = KVSupervisor(
             detector, tb.diesel, tb.kv, ["ds"],
-            restart_delay_s=restart_delay_s, recorder=recorder,
+            restart_delay_s=restart_delay_s,
         )
         detector.start()
 
@@ -1729,7 +1728,7 @@ def fig_locality(
             )
             tb.run(cache.register())
             tb.run(cache.wait_warm())
-            recorder = SpanRecorder.attach(cache)
+            recorder = SpanRecorder.attach(tb.env)
             worker_nodes = [n.name for n in tb.compute_nodes[:n_nodes]]
             scheduler = EpochScheduler(
                 clients[0].index.files_by_chunk(), group_size,

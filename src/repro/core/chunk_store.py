@@ -43,13 +43,14 @@ from __future__ import annotations
 
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.cluster.devices import Device
 from repro.core.chunk import Chunk
 from repro.sim.engine import Environment, Event
 from repro.sim.resources import SingleFlight
+from repro.util.counters import Counters
 
 #: Selectable store backends (``SharedCacheRegistry(store=...)``).
 STORE_KINDS = ("ram", "tiered")
@@ -149,7 +150,7 @@ def make_store(
 
 
 @dataclass(slots=True)
-class ChunkStoreStats:
+class ChunkStoreStats(Counters):
     """Tier counters and residency gauges (the bench-reporting seam).
 
     Cumulative counters move as the store runs; the gauge fields are
@@ -182,11 +183,6 @@ class ChunkStoreStats:
     chunks_ram: int = 0
     chunks_disk: int = 0
 
-    def to_dict(self) -> Dict[str, int]:
-        """All counters as ``{name: value}``, derived from the dataclass
-        fields so a new counter can never silently drop out of rows."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 class RamStore:
     """RAM-only chunk residency, and the bookkeeping both stores share.
@@ -218,8 +214,6 @@ class RamStore:
         #: lets the owner drop its metadata in step.
         self.on_evict = on_evict
         self._stats = ChunkStoreStats()
-        #: Attached observability recorder (None = disabled).
-        self.recorder = None
 
     # ------------------------------------------------------------- inspection
     @property
@@ -280,7 +274,7 @@ class RamStore:
             return None
         self._ram.move_to_end(key)
         self._stats.ram_hits += 1
-        rec = self.recorder
+        rec = self.env.recorder
         if rec is not None:
             rec.count("tier_hit", "ram")
         return item
@@ -459,7 +453,7 @@ class TieredStore(RamStore):
                 return False
             self._drop_disk(victim)
             self._stats.disk_evictions += 1
-            rec = self.recorder
+            rec = self.env.recorder
             if rec is not None:
                 rec.count("tier_evict", "disk")
             if self.on_evict is not None:
@@ -473,7 +467,7 @@ class TieredStore(RamStore):
         if self.compression:
             yield self.env.timeout(nbytes / COMPRESS_BPS)
             self._stats.compress_ops += 1
-            rec = self.recorder
+            rec = self.env.recorder
             if rec is not None:
                 rec.count("tier_compress", "disk")
         yield from self.device.write(stored)
@@ -497,7 +491,7 @@ class TieredStore(RamStore):
             return None
         yield from self._write_disk(key, chunk, nbytes, stored)
         self._stats.disk_admits += 1
-        rec = self.recorder
+        rec = self.env.recorder
         if rec is not None:
             rec.count("tier_admit", "disk")
         return "disk"
@@ -508,7 +502,7 @@ class TieredStore(RamStore):
 
     def _note_disk_hit(self) -> None:
         self._stats.disk_hits += 1
-        rec = self.recorder
+        rec = self.env.recorder
         if rec is not None:
             rec.count("tier_hit", "disk")
 
@@ -554,7 +548,7 @@ class TieredStore(RamStore):
                 self._ram_bytes += nbytes
                 self._stats.promotions += 1
                 self._stats.bytes_promoted += nbytes
-                rec = self.recorder
+                rec = self.env.recorder
                 if rec is not None:
                     rec.record("tier_promote", "disk",
                                self.env.now - t0, nbytes=nbytes)
@@ -614,7 +608,7 @@ class TieredStore(RamStore):
             self._drop_ram(key)
             self._stats.demotions += 1
             self._stats.bytes_demoted += nbytes
-            rec = self.recorder
+            rec = self.env.recorder
             if rec is not None:
                 rec.record("tier_demote", "disk",
                            self.env.now - t0, nbytes=nbytes)

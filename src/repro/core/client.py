@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from collections import OrderedDict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Dict, Generator, Optional, Sequence
 
 from repro.calibration import Calibration, DEFAULT
@@ -45,6 +45,7 @@ from repro.errors import (
 from repro.cluster.node import Node
 from repro.sim.engine import Environment, Event, fan_out
 from repro.sim.resources import SingleFlight
+from repro.util.counters import Counters
 from repro.util.hashing import stable_hash
 from repro.util.ids import sim_id_generator
 from repro.util.pathutil import normalize
@@ -82,7 +83,7 @@ def connect(
 
 
 @dataclass(slots=True)
-class ClientStats:
+class ClientStats(Counters):
     """Cumulative libDIESEL counters (the bench-reporting seam)."""
 
     puts: int = 0
@@ -121,14 +122,6 @@ class ClientStats:
     delta_bytes: int = 0
     full_reloads: int = 0
 
-    def to_dict(self) -> Dict[str, int]:
-        """All counters as ``{name: value}`` (the bench-reporting seam).
-
-        Derived from the dataclass fields, so a newly added counter can
-        never silently drop out of benchmark rows.
-        """
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 class DieselClient:
     """One libDIESEL context (the result of ``DL_connect``)."""
@@ -155,10 +148,6 @@ class DieselClient:
         self.config = config or DieselConfig()
         self.cal = calibration
         self.stats = ClientStats()
-        #: Attached observability recorder (``repro.obs.SpanRecorder``);
-        #: None keeps every instrumentation site a single failed
-        #: ``is not None`` check — the hot path allocates nothing.
-        self.recorder = None
         self._rr = 0
         self._closed = False
         self._builder = ChunkBuilder(
@@ -238,7 +227,7 @@ class DieselClient:
     def put(self, path: str, data: bytes) -> Generator[Event, Any, None]:
         """DL_put: buffer a file; ship a chunk when ≥ chunk_size accrues."""
         self._check_open()
-        rec = self.recorder
+        rec = self.env.recorder
         t0 = self.env.now if rec is not None else 0.0
         sealed = self._builder.add(path, data)
         self.stats.puts += 1
@@ -260,7 +249,7 @@ class DieselClient:
         """DL_flush: seal and ship whatever is buffered; wait for every
         pipelined send still in flight."""
         self._check_open()
-        rec = self.recorder
+        rec = self.env.recorder
         t0 = self.env.now if rec is not None else 0.0
         sealed = self._builder.flush()
         if sealed is not None:
@@ -281,7 +270,7 @@ class DieselClient:
         packing of later files (§4.1.1 write overlap); the final flush
         waits for every send.  Returns the number of chunks shipped.
         """
-        rec = self.recorder
+        rec = self.env.recorder
         t0 = self.env.now if rec is not None else 0.0
         before = self.stats.chunks_sent
         for path, data in items:
@@ -317,7 +306,7 @@ class DieselClient:
         yield from self._ingest.submit(chunk)
 
     def _send_chunk(self, chunk: Chunk) -> Generator[Event, Any, None]:
-        rec = self.recorder
+        rec = self.env.recorder
         t0 = self.env.now if rec is not None else 0.0
         blob = chunk.encode()
         yield from self._server().call(
@@ -344,7 +333,7 @@ class DieselClient:
         self._check_open()
         path = normalize(path)
         self.stats.gets += 1
-        rec = self.recorder
+        rec = self.env.recorder
         t0 = self.env.now if rec is not None else 0.0
         yield self.env.timeout(self.cal.diesel.api_read_overhead_s)
         record = self._record_for(path)
@@ -376,10 +365,7 @@ class DieselClient:
             self.stats.cache_hits += 1
             self.stats.bytes_read += len(payload)
             if rec is not None:
-                # Exact attribution (cache hit vs server fall-through)
-                # requires the recorder to be attached to the TaskCache
-                # as well; it publishes which layer served the read.
-                layer = getattr(self._cache, "last_resolution", "task_cache")
+                layer = self._cache.last_resolution
                 rec.record("get", layer, self.env.now - t0,
                            actor=self.name, path=path)
                 rec.count("read", layer)
@@ -415,7 +401,7 @@ class DieselClient:
         self._check_open()
         paths = [normalize(p) for p in paths]
         self.stats.gets += len(paths)
-        rec = self.recorder
+        rec = self.env.recorder
         t0 = self.env.now if rec is not None else 0.0
         yield self.env.timeout(self.cal.diesel.api_read_overhead_s)
         out: Dict[str, bytes] = {}
@@ -539,7 +525,7 @@ class DieselClient:
         flight.  Single-flight still holds — concurrent batches and the
         prefetcher share ``_inflight``, so no chunk moves twice.
         """
-        rec = self.recorder
+        rec = self.env.recorder
         resolved: Dict[str, Chunk] = {}
         missing: list[str] = []
         for encoded, records in by_chunk.items():
@@ -676,7 +662,7 @@ class DieselClient:
                 continue  # re-check: hit, or evicted-while-waiting
             self._inflight.begin(encoded)
             self._note_fetch_inflight(len(self._inflight))
-            rec = self.recorder
+            rec = self.env.recorder
             t0 = self.env.now if rec is not None else 0.0
             # Scattered fetches use stable placement; the serial default
             # keeps the legacy round-robin pick (identical behavior).
@@ -737,7 +723,7 @@ class DieselClient:
     def stat(self, path: str) -> Generator[Event, Any, dict]:
         """DL_stat: O(1) from the snapshot when loaded, else a server RPC."""
         self._check_open()
-        rec = self.recorder
+        rec = self.env.recorder
         t0 = self.env.now if rec is not None else 0.0
         if self._index is not None:
             yield self.env.timeout(self.cal.diesel.client_meta_lookup_s)
@@ -755,7 +741,7 @@ class DieselClient:
     def ls(self, path: str = "/") -> Generator[Event, Any, list[str]]:
         """DL_ls: list files and folders under ``path``."""
         self._check_open()
-        rec = self.recorder
+        rec = self.env.recorder
         t0 = self.env.now if rec is not None else 0.0
         if self._index is not None:
             yield self.env.timeout(self.cal.diesel.client_meta_lookup_s)
@@ -812,7 +798,7 @@ class DieselClient:
         self._check_open()
         if self._index is None:
             raise DieselError("no metadata snapshot loaded (call DL_load_meta)")
-        rec = self.recorder
+        rec = self.env.recorder
         t0 = self.env.now if rec is not None else 0.0
         resp = yield from self._server().call(
             self.node, "load_meta_delta", self.dataset, self._index.update_ts

@@ -8,7 +8,7 @@ strongly-consistent key-value config service with watch callbacks;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List
 
 from repro.core.chunk import DEFAULT_CHUNK_SIZE
@@ -55,17 +55,6 @@ class DieselConfig:
     #: How long a tripped breaker stays open before a half-open probe
     #: call is allowed through.
     breaker_reset_s: float = 1.0
-    #: Hedge remote cache reads: once a peer call outlives its
-    #: calibrated p95 delay, fire a backup request to a replica (or the
-    #: backend) and take whichever answers first, cancelling the loser
-    #: (straggler mitigation; "The Tail at Scale").
-    hedge_enabled: bool = False
-    #: Fixed hedge delay in seconds.  0 calibrates the delay per peer
-    #: from its EWMA latency tracker (mean + 4·deviation, ≈ p95).
-    hedge_delay_s: float = 0.0
-    #: EWMA smoothing factor for the per-peer latency tracker feeding
-    #: hedge-delay calibration and replica steering.
-    hedge_ewma_alpha: float = 0.2
     #: Mutation-journal entries retained per dataset (the delta metadata
     #: plane, ``repro.core.meta_journal``): a client whose snapshot is at
     #: most this many versions old refreshes by applying the delta
@@ -109,10 +98,6 @@ class DieselConfig:
             raise ValueError("breaker_threshold must be >= 1")
         if self.breaker_reset_s <= 0:
             raise ValueError("breaker_reset_s must be positive")
-        if self.hedge_delay_s < 0:
-            raise ValueError("hedge_delay_s must be >= 0")
-        if not 0.0 < self.hedge_ewma_alpha <= 1.0:
-            raise ValueError("hedge_ewma_alpha must be in (0, 1]")
         if self.meta_journal_horizon < 0:
             raise ValueError("meta_journal_horizon must be >= 0")
         if self.pscan_page_size < 1:

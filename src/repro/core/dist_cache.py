@@ -45,7 +45,7 @@ node → owning peer (hedged or retried when configured) → server.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.calibration import Calibration, DEFAULT
@@ -65,6 +65,7 @@ from repro.cluster.node import Node
 from repro.rpc.connections import ConnectionTable
 from repro.rpc.endpoint import RpcEndpoint
 from repro.sim.engine import Environment, Event, fan_out
+from repro.util.counters import Counters
 
 #: What a read resolver hands back when it served the read: the payload
 #: and the layer that served it (published as ``last_resolution``).
@@ -81,7 +82,7 @@ class CacheClient:
 
 
 @dataclass(slots=True)
-class CacheMasterStats:
+class CacheMasterStats(Counters):
     """Per-master cache counters (the bench-reporting seam)."""
 
     hits: int = 0
@@ -100,14 +101,9 @@ class CacheMasterStats:
     #: partition (read-skew mitigation).
     replicated_chunks: int = 0
 
-    def to_dict(self) -> Dict[str, int]:
-        """All counters as ``{name: value}``, derived from the dataclass
-        fields so a new counter can never silently drop out of rows."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass(slots=True)
-class TaskCacheStats:
+class TaskCacheStats(Counters):
     """Task-wide read-locality counters (the bench-reporting seam).
 
     Snapshot built by :attr:`TaskCache.stats`: ``local_hits`` /
@@ -144,11 +140,6 @@ class TaskCacheStats:
     scale_downs: int = 0
     drained_chunks: int = 0
     peer_warmed_chunks: int = 0
-
-    def to_dict(self) -> Dict[str, int]:
-        """All counters as ``{name: value}``, derived from the dataclass
-        fields so a new counter can never silently drop out of rows."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class CacheMaster:
@@ -188,8 +179,6 @@ class CacheMaster:
         self.qos_class = qos_class
         self._held: Dict[str, int] = {}
         self.stats = CacheMasterStats()
-        #: Attached observability recorder (propagated by TaskCache).
-        self.recorder = None
         self.endpoint = RpcEndpoint(
             env,
             fabric,
@@ -413,7 +402,7 @@ class CacheMaster:
         server admissions.  Returns the number of chunks actually
         cached (memory-skipped chunks do not count).
         """
-        rec = self.recorder
+        rec = self.env.recorder
         t0 = self.env.now if rec is not None else 0.0
         loaded = yield from self._stream(self.assigned, fanout, batch, "warm")
         if rec is not None:
@@ -430,7 +419,7 @@ class CacheMaster:
         :meth:`prefetch_all`; returns the number of chunks actually
         cached.
         """
-        rec = self.recorder
+        rec = self.env.recorder
         t0 = self.env.now if rec is not None else 0.0
         missing = [cid for cid in self.assigned if not self.has_chunk(cid)]
         reloaded = yield from self._stream(missing, fanout, batch, "recover")
@@ -537,7 +526,6 @@ class TaskCache:
         self._owner_of: Dict[str, CacheMaster] = {}  # encoded cid -> master
         self._registered = False
         self._prefetch_procs: list = []
-        self._recorder = None
         #: Fault-tolerance hooks (all optional; None = legacy behaviour).
         #: ``failure_listener.report_failure(master)`` is called when an
         #: in-flight peer call fails — the CacheSupervisor wires itself
@@ -587,7 +575,8 @@ class TaskCache:
         )
         #: Which layer served the most recent read_file — published for
         #: the client's span attribution (only updated while a recorder
-        #: is attached, so the bare hot path stays untouched).
+        #: is attached to the environment, so the bare hot path stays
+        #: untouched).
         self.last_resolution = "task_cache"
 
     @property
@@ -615,22 +604,6 @@ class TaskCache:
             peer_warmed_chunks=self.peer_warmed_chunks,
         )
 
-    @property
-    def recorder(self):
-        """Attached observability recorder (None = disabled)."""
-        return self._recorder
-
-    @recorder.setter
-    def recorder(self, value) -> None:
-        """Propagate the recorder to every cache master and its endpoint
-        (and to the tiers, when this task owns them)."""
-        self._recorder = value
-        if self._owns_tier:
-            self.shared.recorder = value
-        for m in self.masters.values():
-            m.recorder = value
-            m.endpoint.recorder = value
-
     # ------------------------------------------------------- fault tolerance
     def configure_ft(self, config) -> None:
         """Enable retry + per-master circuit breakers on the peer path.
@@ -653,40 +626,34 @@ class TaskCache:
         self._breakers.clear()
         # Seeded: retry jitter must not vary run to run.
         self._rng = random.Random(0xD1E5E1)
-        if config.hedge_enabled:
-            self.configure_hedging(config)
 
     def configure_hedging(
         self,
-        config=None,
         *,
         enabled: bool = True,
-        delay_s: Optional[float] = None,
-        alpha: Optional[float] = None,
+        delay_s: float = 0.0,
+        alpha: float = 0.2,
     ) -> None:
         """Enable hedged reads on the remote-peer path.
 
         Once a remote ``get_file`` outlives its hedge delay — fixed
-        (``hedge_delay_s > 0``) or calibrated per peer from the EWMA
-        latency tracker (``mean + 4·dev`` ≈ p95) — a backup request is
-        fired to a replica master holding the chunk (steered to the
-        fastest peer by EWMA) or to the backend, and whichever answers
-        first wins; the loser is cancelled so its NIC channels and RPC
-        worker slots drain through their ``finally`` blocks.  While a
-        read is hedged it bypasses retry/breaker (the backup *is* the
-        recovery path); local fast paths are never hedged.
+        (``delay_s > 0``) or calibrated per peer from the EWMA latency
+        tracker (``mean + 4·dev`` ≈ p95, smoothed by ``alpha``) — a
+        backup request is fired to a replica master holding the chunk
+        (steered to the fastest peer by EWMA) or to the backend, and
+        whichever answers first wins; the loser is cancelled so its NIC
+        channels and RPC worker slots drain through their ``finally``
+        blocks.  While a read is hedged it bypasses retry/breaker (the
+        backup *is* the recovery path); local fast paths are never
+        hedged.
         """
         from repro.ft.hedge import HedgeStats, PeerLatencyTracker, hedged_call
 
-        if config is not None:
-            enabled = config.hedge_enabled
-            delay_s = config.hedge_delay_s if delay_s is None else delay_s
-            alpha = config.hedge_ewma_alpha if alpha is None else alpha
         self._hedge_enabled = bool(enabled)
-        self._hedge_delay_s = float(delay_s or 0.0)
+        self._hedge_delay_s = float(delay_s)
         self._hedged_call = hedged_call
         if self.peer_latency is None:
-            self.peer_latency = PeerLatencyTracker(alpha=alpha or 0.2)
+            self.peer_latency = PeerLatencyTracker(alpha=alpha)
         if self.hedge_stats is None:
             self.hedge_stats = HedgeStats()
 
@@ -699,7 +666,7 @@ class TaskCache:
 
     def _notify_membership(self, event: str, names: Sequence[str]) -> None:
         self.scale_events.append((self.env.now, event, tuple(names)))
-        rec = self._recorder
+        rec = self.env.recorder
         if rec is not None:
             rec.count(f"cache_{event}", "task_cache")
         for cb in list(self._membership_listeners):
@@ -721,7 +688,7 @@ class TaskCache:
         listener = self.failure_listener
         if listener is not None:
             listener.report_failure(master)
-        rec = self._recorder
+        rec = self.env.recorder
         if rec is not None:
             rec.count("ft_peer_failure", "task_cache")
 
@@ -794,9 +761,6 @@ class TaskCache:
                 self.cal, self.shared.for_node(client.node),
                 self.task_key, self.tenant, self.qos_class,
             )
-            if self._recorder is not None:
-                master.recorder = self._recorder
-                master.endpoint.recorder = self._recorder
             self.masters[node_name] = master
             elected.append(master)
         return elected
@@ -946,7 +910,7 @@ class TaskCache:
                 if got is not None:
                     break
         payload, layer = got
-        rec = self._recorder
+        rec = self.env.recorder
         if rec is not None:
             self.last_resolution = layer
             rec.record("cache_read", layer, self.env.now - t0,
@@ -1144,7 +1108,7 @@ class TaskCache:
         except (NodeDownError, CachePeerDownError):
             self.dropped_pulls += 1
             self._note_peer_failure(master)
-            rec = self._recorder
+            rec = self.env.recorder
             if rec is not None:
                 rec.count("ft_dropped_pull", "task_cache")
 
@@ -1311,7 +1275,7 @@ class TaskCache:
             return
         if cached:
             local.stats.replicated_chunks += 1
-            rec = self._recorder
+            rec = self.env.recorder
             if rec is not None:
                 rec.count("hot_replicate", "task_cache")
 
@@ -1373,7 +1337,7 @@ class TaskCache:
                 owner = survivors[i % len(survivors)]
                 owner.assigned.append(encoded_cid)
                 self._owner_of[encoded_cid] = owner
-        rec = self._recorder
+        rec = self.env.recorder
         t0 = self.env.now if rec is not None else 0.0
         if limit <= 1 and self.admission_batch <= 1:
             # Legacy serial re-stream: survivor after survivor.

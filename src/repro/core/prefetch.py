@@ -71,7 +71,7 @@ class ChunkPrefetcher:
         self._scheduled = seen
         self._next = 0  # next schedule index to issue
         #: Issue timestamps for the issue→consume lead-time histogram
-        #: (only populated while a recorder is attached to the client).
+        #: (only populated while a recorder is attached to the env).
         self._issue_ts: Dict[str, float] = {}
         #: Issued but not yet consumed (bounds the pipeline window).
         self._outstanding: Set[str] = set()
@@ -121,7 +121,7 @@ class ChunkPrefetcher:
                 continue  # demand path beat us to it
             self._outstanding.add(encoded)
             self.client.stats.prefetch_issued += 1
-            if self.client.recorder is not None:
+            if self.env.recorder is not None:
                 self._issue_ts[encoded] = self.env.now
             self._procs[encoded] = self.env.process(
                 self._fetch(encoded), name=f"prefetch:{encoded[:8]}"
@@ -205,7 +205,7 @@ class ChunkPrefetcher:
         self._consumed.add(encoded)
         if encoded in self._outstanding:
             self._outstanding.discard(encoded)
-            rec = self.client.recorder
+            rec = self.env.recorder
             if rec is not None:
                 ts = self._issue_ts.pop(encoded, None)
                 if ts is not None:
@@ -231,9 +231,10 @@ class ChunkPrefetcher:
         if encoded in self._outstanding:
             self._outstanding.discard(encoded)
             self.client.stats.prefetch_wasted += 1
-            if self.client.recorder is not None:
+            rec = self.env.recorder
+            if rec is not None:
                 self._issue_ts.pop(encoded, None)
-                self.client.recorder.count("prefetch", "wasted")
+                rec.count("prefetch", "wasted")
             self._top_up()
 
     # ------------------------------------------------------------- cancel
@@ -253,9 +254,8 @@ class ChunkPrefetcher:
                 proc.interrupt("prefetch cancelled")
         self._procs.clear()
         self.client.stats.prefetch_wasted += len(self._outstanding)
-        if self.client.recorder is not None and self._outstanding:
-            self.client.recorder.count(
-                "prefetch", "wasted", len(self._outstanding)
-            )
+        rec = self.env.recorder
+        if rec is not None and self._outstanding:
+            rec.count("prefetch", "wasted", len(self._outstanding))
         self._outstanding.clear()
         self._issue_ts.clear()

@@ -24,7 +24,7 @@ Responsibilities implemented here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple, Union
 
 from repro.calibration import Calibration, DEFAULT
@@ -53,6 +53,7 @@ from repro.objectstore.store import ObjectStore
 from repro.objectstore.tiered import TieredStore
 from repro.rpc.endpoint import RpcEndpoint
 from repro.sim.engine import Environment, Event
+from repro.util.counters import Counters
 from repro.util.ids import ChunkId, decode_chunk_id, sim_id_generator
 from repro.util.pathutil import basename, dirname, normalize
 
@@ -82,7 +83,7 @@ def parse_object_key(key: str) -> tuple[str, ChunkId]:
 
 
 @dataclass(slots=True)
-class ServerStats:
+class ServerStats(Counters):
     """Data-path read counters (chunk transfers, batched reads).
 
     ``chunk_reads`` counts whole-chunk transfers served to clients; the
@@ -102,11 +103,6 @@ class ServerStats:
     ingests: int = 0
     #: Task registrations served (one per TaskCache.register()).
     registrations: int = 0
-
-    def to_dict(self) -> dict:
-        """All counters as ``{name: value}``, derived from the dataclass
-        fields so a new counter can never silently drop out of rows."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class DieselServer:
@@ -162,24 +158,11 @@ class DieselServer:
             service_s=2e-6,  # dispatch; data time is charged by the store
             workers=workers,
         )
-        self._recorder = None
         # Logical dataset version counter (monotone per server group; shared
         # through the KV dataset record, so multiple servers stay coherent).
         self._kv_batch = 128  # records per pipelined KV round trip
         # One generator per server so purge-minted chunk IDs never collide.
         self._idgen = sim_id_generator(self.name, clock=lambda: env.now)
-
-    @property
-    def recorder(self):
-        """Attached observability recorder (None = disabled)."""
-        return self._recorder
-
-    @recorder.setter
-    def recorder(self, value) -> None:
-        """Propagate the recorder to both RPC worker pools."""
-        self._recorder = value
-        self.endpoint.recorder = value
-        self.meta_endpoint.recorder = value
 
     # ------------------------------------------------------------------ RPC
     def _handle(self, method: str, *args: Any) -> Any:
@@ -335,7 +318,7 @@ class DieselServer:
         feel it).  This is how the paper writes ImageNet-1K (~150 GB)
         "within only 3 seconds" (§6.2).
         """
-        rec = self._recorder
+        rec = self.env.recorder
         t0 = self.env.now if rec is not None else 0.0
         chunk = Chunk.decode(chunk_bytes)
         key = object_key(dataset, chunk.chunk_id)
@@ -355,7 +338,7 @@ class DieselServer:
     def _read_range(
         self, key: str, offset: int, length: int
     ) -> Generator[Event, Any, bytes]:
-        rec = self._recorder
+        rec = self.env.recorder
         t0 = self.env.now if rec is not None else 0.0
         result = yield from self.store.get_range(key, offset, length)
         if rec is not None:
@@ -465,7 +448,7 @@ class DieselServer:
     def _op_get_chunk(
         self, dataset: str, encoded_cid: str
     ) -> Generator[Event, Any, bytes]:
-        rec = self._recorder
+        rec = self.env.recorder
         t0 = self.env.now if rec is not None else 0.0
         key = f"{dataset}/{encoded_cid}"
         blob = yield from self.store.get(key)

@@ -61,6 +61,7 @@ from repro.core.chunk_store import (
 from repro.errors import CachePeerDownError, NodeDownError
 from repro.sim.engine import Environment, Event
 from repro.sim.resources import SingleFlight
+from repro.util.counters import Counters
 
 #: The two admission-priority classes (paper-less extension; see
 #: DESIGN §11).  ``interactive`` outranks ``batch`` at eviction time.
@@ -68,7 +69,7 @@ QOS_CLASSES = ("interactive", "batch")
 
 
 @dataclass(slots=True)
-class SharedCacheStats:
+class SharedCacheStats(Counters):
     """Shared-tier counters (the bench-reporting seam).
 
     Cumulative counters move as the cache runs; the gauge fields
@@ -104,11 +105,6 @@ class SharedCacheStats:
     bytes_resident: int = 0
     chunks_resident: int = 0
     refs: int = 0
-
-    def to_dict(self) -> Dict[str, int]:
-        """All counters as ``{name: value}``, derived from the dataclass
-        fields so a new counter can never silently drop out of rows."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(slots=True)
@@ -153,17 +149,6 @@ class SharedChunkCache:
         #: Tenant → resident bytes the tenant references on this node.
         self._tenant_usage: Dict[str, int] = {}
         self._stats = SharedCacheStats()
-        self._recorder = None
-
-    @property
-    def recorder(self):
-        """Attached observability recorder (propagated by the registry)."""
-        return self._recorder
-
-    @recorder.setter
-    def recorder(self, value) -> None:
-        self._recorder = value
-        self.store.recorder = value
 
     @staticmethod
     def _key(dataset: str, encoded_cid: str) -> str:
@@ -260,7 +245,7 @@ class SharedChunkCache:
         if self._entries.pop(key, None) is None:
             return
         self._stats.evictions += 1
-        rec = self.recorder
+        rec = self.env.recorder
         if rec is not None:
             rec.count("shared_evict", "shared_tier")
 
@@ -339,7 +324,7 @@ class SharedChunkCache:
             return None
         self.store.touch(key)
         self._stats.warm_admissions += 1
-        rec = self.recorder
+        rec = self.env.recorder
         if rec is not None:
             rec.count("shared_warm_admit", "shared_tier")
         master.hold(encoded_cid, entry.nbytes)
@@ -365,7 +350,7 @@ class SharedChunkCache:
         self._entries[key] = entry
         self._tenant_usage[tenant] = self._tenant_usage.get(tenant, 0) + nbytes
         self._stats.cold_admissions += 1
-        rec = self.recorder
+        rec = self.env.recorder
         if rec is not None:
             rec.count("shared_cold_admit", "shared_tier")
         master.hold(encoded_cid, nbytes)
@@ -586,14 +571,12 @@ class SharedCacheRegistry:
         #: ``None`` when tasks share it.  An owned tier frees what its
         #: task releases and never serves a read as another task's copy.
         self.owner: Optional[str] = None
-        self._recorder = None
 
     def for_node(self, node) -> SharedChunkCache:
         """The node's shared cache (created lazily on first use)."""
         cache = self._caches.get(node.name)
         if cache is None:
             cache = SharedChunkCache(self.env, node, self)
-            cache.recorder = self._recorder
             self._caches[node.name] = cache
         return cache
 
@@ -676,17 +659,6 @@ class SharedCacheRegistry:
                 "demotions": s.demotions,
             })
         return rows
-
-    @property
-    def recorder(self):
-        """Attached observability recorder (None = disabled)."""
-        return self._recorder
-
-    @recorder.setter
-    def recorder(self, value) -> None:
-        self._recorder = value
-        for cache in self._caches.values():
-            cache.recorder = value
 
     # --------------------------------------------------------------- recovery
     def purge_dead(self) -> int:

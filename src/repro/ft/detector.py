@@ -58,7 +58,6 @@ class FailureDetector:
         env: Environment,
         heartbeat_interval_s: float = 0.05,
         failure_timeout_s: float = 0.25,
-        recorder=None,
         jitter: float = 0.0,
         seed: int = 0xBEA7,
     ) -> None:
@@ -77,8 +76,6 @@ class FailureDetector:
         #: (the default) keeps the exact fixed-interval schedule.
         self.jitter = jitter
         self._rng = random.Random(seed)
-        #: Attached observability recorder (None = disabled).
-        self.recorder = recorder
         self._watches: Dict[str, _Watch] = {}
         self._callbacks: List[TransitionCallback] = []
         self._proc: Optional[Process] = None
@@ -183,7 +180,7 @@ class FailureDetector:
             # Detection latency: how long the peer was unreachable
             # before we declared it.
             self._death_latency[w.name] = now - w.last_alive
-        rec = self.recorder
+        rec = self.env.recorder
         if rec is not None:
             rec.count(f"ft_{state}", "detector")
             if state == DEAD:

@@ -25,15 +25,16 @@ Everything runs on the simulation clock; no wall-clock, no randomness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, Iterable, Optional
 
 from repro.errors import InterruptError
 from repro.sim.engine import Environment, Event
+from repro.util.counters import Counters
 
 
 @dataclass
-class HedgeStats:
+class HedgeStats(Counters):
     """Counters for hedged calls (one instance per task cache)."""
 
     #: Hedge-wrapped calls issued (whether or not the hedge fired).
@@ -54,9 +55,6 @@ class HedgeStats:
     primary_failures: int = 0
     #: Backup attempts that raised.
     backup_failures: int = 0
-
-    def to_dict(self) -> Dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass

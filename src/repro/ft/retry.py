@@ -122,7 +122,6 @@ def retry_call(
     *,
     rng: Optional[random.Random] = None,
     breaker=None,
-    recorder=None,
     op: str = "rpc",
     actor: str = "",
 ) -> Generator[Event, Any, Any]:
@@ -135,17 +134,19 @@ def retry_call(
 
     ``breaker``, if given, is consulted before every attempt
     (:class:`~repro.errors.CircuitOpenError` when open) and told about
-    each outcome.  ``recorder`` (a ``repro.obs.SpanRecorder``) counts
-    retries, deadline hits, and exhaustion under ``ft_*`` ops.
+    each outcome.  ``env.recorder`` (a ``repro.obs.SpanRecorder``), when
+    attached, counts retries, deadline hits, and exhaustion under
+    ``ft_*`` ops.
     """
+    rec = env.recorder
     deadline_err = (DeadlineExceededError,)
     token = None
     for k in range(policy.retries + 1):
         if breaker is not None:
             token = breaker.allow()
             if not token:
-                if recorder is not None:
-                    recorder.count("ft_breaker_reject", op)
+                if rec is not None:
+                    rec.count("ft_breaker_reject", op)
                 raise CircuitOpenError(actor or op)
         try:
             if policy.deadline_s > 0:
@@ -157,18 +158,18 @@ def retry_call(
         except policy.retry_on + deadline_err as exc:
             if breaker is not None:
                 breaker.record_failure(token)
-            if recorder is not None:
+            if rec is not None:
                 if isinstance(exc, DeadlineExceededError):
-                    recorder.count("ft_deadline", op)
-                recorder.count("ft_attempt_failed", op)
+                    rec.count("ft_deadline", op)
+                rec.count("ft_attempt_failed", op)
             if k == policy.retries:
-                if recorder is not None:
-                    recorder.count("ft_exhausted", op)
+                if rec is not None:
+                    rec.count("ft_exhausted", op)
                 raise
             delay = policy.backoff_s(k, rng)
-            if recorder is not None:
-                recorder.count("ft_retry", op)
-                recorder.record("ft_backoff", op, delay, actor=actor)
+            if rec is not None:
+                rec.count("ft_retry", op)
+                rec.record("ft_backoff", op, delay, actor=actor)
             yield env.timeout(delay)
             continue
         except InterruptError:

@@ -21,7 +21,7 @@ The supervisors close the loop:
   dataset — scenario (a)'s incremental rescan, with no operator call.
 
 Both record their work through the ``repro.obs`` span layer under
-``ft_*`` op tags when a recorder is attached.
+``ft_*`` op tags when a recorder is attached to the environment.
 """
 
 from __future__ import annotations
@@ -44,13 +44,11 @@ class CacheSupervisor:
         detector: FailureDetector,
         cache: TaskCache,
         fanout: Optional[int] = None,
-        recorder=None,
     ) -> None:
         self.detector = detector
         self.cache = cache
         self.env = cache.env
         self.fanout = fanout
-        self.recorder = recorder
         #: One dict per completed recovery (see :meth:`_heal`).
         self.recoveries: List[dict] = []
         self._healing = False
@@ -150,7 +148,7 @@ class CacheSupervisor:
                         after.cold_admissions - before.cold_admissions
                     )
                 self.recoveries.append(record)
-                rec = self.recorder
+                rec = self.env.recorder
                 if rec is not None:
                     rec.record("ft_recover", "task_cache",
                                self.env.now - t0, chunks=reloaded)
@@ -170,7 +168,6 @@ class KVSupervisor:
         restart_delay_s: float = 0.0,
         auto_restart: bool = True,
         fanout: int = 1,
-        recorder=None,
     ) -> None:
         if restart_delay_s < 0:
             raise ValueError("restart_delay_s must be >= 0")
@@ -182,7 +179,6 @@ class KVSupervisor:
         self.restart_delay_s = restart_delay_s
         self.auto_restart = auto_restart
         self.fanout = fanout
-        self.recorder = recorder
         #: One dict per completed rebuild (see :meth:`_rebuild`).
         self.rebuilds: List[dict] = []
         #: Dead shards awaiting rebuild: watch name → last-good sim time.
@@ -242,7 +238,7 @@ class KVSupervisor:
             "chunks_scanned": scanned,
             "shards": shards,
         })
-        rec = self.recorder
+        rec = self.env.recorder
         if rec is not None:
             rec.record("ft_rebuild", "kv", self.env.now - t0,
                        chunks=scanned)

@@ -150,17 +150,6 @@ class KVInstance:
             handler=self._handle, qps=qps, latency_s=latency_s,
         )
 
-    @property
-    def recorder(self):
-        """Attached observability recorder (None = disabled)."""
-        return self.endpoint.recorder
-
-    @recorder.setter
-    def recorder(self, value) -> None:
-        """Forward the recorder to the RPC endpoint, which times every
-        KV call as queue vs service (``rpc_get``, ``rpc_pscan``, ...)."""
-        self.endpoint.recorder = value
-
     def _handle(self, method: str, *args: Any) -> Any:
         if method == "get":
             return self.table.get(args[0])

@@ -114,7 +114,6 @@ class ShardedKV:
             attempt,
             rng=self._rng,
             breaker=self._breaker_for(inst),
-            recorder=inst.recorder,
             op=f"kv_{method}",
             actor=inst.name,
         )

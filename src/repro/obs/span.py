@@ -1,10 +1,14 @@
 """Sim-clock spans and the zero-cost-when-detached span recorder.
 
 The recorder follows :class:`repro.sim.trace.Tracer`'s attach pattern:
-instrumented components carry a ``recorder`` attribute that defaults to
-``None``, and every instrumentation site is guarded by a single
-``if recorder is None`` check — with no recorder attached the hot path
-pays one attribute read and allocates nothing.
+it is attached once, to the simulation :class:`~repro.sim.Environment`,
+and every instrumented component reads ``self.env.recorder`` at its
+instrumentation site.  ``env.recorder`` defaults to ``None``, and every
+site is guarded by a single ``if rec is None`` check — with no recorder
+attached the hot path pays one attribute read and allocates nothing.
+Components built after ``attach`` (elected masters, new clients,
+supervisors) report without any wiring; a second environment keeps its
+own recorder.
 
 A :class:`Span` times one operation on the simulation clock and is
 tagged with the **layer** that resolved it (for reads: ``group_cache |
@@ -16,12 +20,12 @@ bounded ring for trace export (:mod:`repro.obs.export`).
 
 Usage::
 
-    rec = SpanRecorder.attach(client, server, cache)
+    rec = SpanRecorder.attach(env)
     ... run the workload ...
     rec.to_dict()                  # flat row for bench.reporting.stats_row
     rec.histogram("get", "server").p99
     write_chrome_trace(rec, "trace.json")
-    SpanRecorder.detach(client, server, cache)
+    SpanRecorder.detach(env)
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from collections import deque
 from typing import Any, Deque, Dict, Optional, Tuple
 
 from repro.obs.histogram import Histogram
+from repro.sim.engine import Environment
 
 
 def _sanitize(name: str) -> str:
@@ -87,32 +92,26 @@ class SpanRecorder:
 
     # ------------------------------------------------------------- lifecycle
     @classmethod
-    def attach(cls, *components: Any, capacity: int = 100_000
+    def attach(cls, env: Environment, capacity: int = 100_000
                ) -> "SpanRecorder":
-        """Create a recorder and set it on every component.
+        """Create a recorder on ``env``'s clock and attach it to ``env``.
 
-        The sim clock is taken from the first component's ``env``.  Each
-        component's ``recorder`` attribute is assigned; components whose
-        ``recorder`` is a propagating property (servers, task caches, KV
-        instances) forward the assignment to their internal endpoints.
+        Every component running in ``env`` reports to it, including
+        components created after this call; a previously attached
+        recorder is replaced.
         """
-        if not components:
-            raise ValueError("attach needs at least one component")
-        env = getattr(components[0], "env", None)
-        if env is None:
-            raise ValueError(
-                f"{components[0]!r} has no .env to take the clock from"
+        if not isinstance(env, Environment):
+            raise TypeError(
+                f"attach takes the simulation Environment, not {env!r}"
             )
         recorder = cls(lambda: env.now, capacity=capacity)
-        for comp in components:
-            comp.recorder = recorder
+        env.recorder = recorder
         return recorder
 
     @staticmethod
-    def detach(*components: Any) -> None:
-        """Remove the recorder from every component (hot path goes dark)."""
-        for comp in components:
-            comp.recorder = None
+    def detach(env: Environment) -> None:
+        """Remove ``env``'s recorder (every hot path goes dark)."""
+        env.recorder = None
 
     # ------------------------------------------------------------ recording
     def now(self) -> float:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional
 
 from repro.calibration import RpcProfile
@@ -11,10 +11,11 @@ from repro.cluster.network import NetworkFabric
 from repro.cluster.node import Node
 from repro.sim.engine import Environment, Event
 from repro.sim.resources import Resource
+from repro.util.counters import Counters
 
 
 @dataclass(slots=True)
-class RpcStats:
+class RpcStats(Counters):
     """Cumulative per-endpoint call counters."""
 
     calls: int = 0
@@ -26,11 +27,6 @@ class RpcStats:
     #: Vectorized admissions (one ``call_batch`` = one batch, however
     #: many calls it carried; ``calls`` still counts every call).
     batches: int = 0
-
-    def to_dict(self) -> dict:
-        """All counters as ``{name: value}``, derived from the dataclass
-        fields so a new counter can never silently drop out of rows."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class RpcEndpoint:
@@ -62,8 +58,6 @@ class RpcEndpoint:
         self._pool = Resource(env, workers)
         self.profile = profile or RpcProfile()
         self.stats = RpcStats()
-        #: Attached observability recorder (None = zero-cost hot path).
-        self.recorder = None
         node.on_fail(self._on_node_fail)
         self._up = True
 
@@ -166,7 +160,7 @@ class RpcEndpoint:
         if not self.up:
             raise NodeDownError(self.node.name, f"endpoint {self.name!r} down")
         prof = self.profile
-        rec = self.recorder
+        rec = self.env.recorder
         # Client-side marshalling.
         yield self.env.timeout(prof.per_call_s + request_bytes * prof.per_byte_s)
         yield from self.fabric.transfer(client, self.node, request_bytes)
@@ -248,7 +242,7 @@ class RpcEndpoint:
             raise NodeDownError(self.node.name, f"endpoint {self.name!r} down")
         n = len(calls)
         prof = self.profile
-        rec = self.recorder
+        rec = self.env.recorder
         # One client-side marshalling charge for the whole batch.
         yield self.env.timeout(
             prof.per_call_s + n * request_bytes_each * prof.per_byte_s
@@ -331,7 +325,6 @@ class RpcEndpoint:
             lambda: self.call(client, method, *args, **kw),
             rng=rng,
             breaker=breaker,
-            recorder=self.recorder,
             op=f"rpc_{method}",
             actor=self.name,
         )

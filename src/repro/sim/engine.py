@@ -510,6 +510,9 @@ class Environment:
         self._run_wall = 0.0
         #: Optional event observer (see repro.sim.trace.Tracer.attach).
         self._tracer = None
+        #: Span recorder every component in this simulation reports to
+        #: (see repro.obs.SpanRecorder.attach); None = instrumentation off.
+        self.recorder = None
         global _env_next_stamp
         self._gen_stamp = _env_next_stamp
         _env_next_stamp += 1

@@ -8,15 +8,9 @@ from repro.obs import SpanRecorder, chrome_trace_events, write_chrome_trace
 from repro.sim import Environment
 
 
-class Comp:
-    def __init__(self, env):
-        self.env = env
-        self.recorder = None
-
-
 def recorder_with_spans():
     env = Environment()
-    rec = SpanRecorder.attach(Comp(env))
+    rec = SpanRecorder.attach(env)
     rec.record("get", "server", 0.002, actor="client", chunk="abc123")
     rec.record("get", "group_cache", 0.0001, actor="client")
     rec.record("rpc_get_file", "service", 0.0005, actor="diesel0.rpc")
@@ -62,8 +56,7 @@ class TestChromeTrace:
         json.loads(lines[1].rstrip(","))
 
     def test_empty_recorder_writes_empty_array(self, tmp_path):
-        env = Environment()
-        rec = SpanRecorder.attach(Comp(env))
+        rec = SpanRecorder.attach(Environment())
         path = tmp_path / "empty.json"
         assert write_chrome_trace(rec, path) == 0
         assert json.loads(path.read_text()) == []

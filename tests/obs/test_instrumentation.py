@@ -8,8 +8,11 @@ from repro.bench.setups import (
 )
 from repro.calibration import KB, MB
 from repro.core.config import DieselConfig
-from repro.core.dist_cache import TaskCache
+from repro.core.client import DieselClient
+from repro.core.dist_cache import CacheClient, TaskCache
+from repro.ft import FailureDetector
 from repro.obs import SpanRecorder
+from repro.sim import Environment
 
 FILES = {f"/obs/f{i:04d}.bin": b"\x11" * (64 * KB) for i in range(128)}
 
@@ -28,7 +31,7 @@ class TestReadPath:
             tb, "obs", tb.compute_nodes[0], "c0",
             config=DieselConfig(shuffle_group_size=2, prefetch_depth=2),
         )
-        rec = SpanRecorder.attach(client, *tb.diesel_servers)
+        rec = SpanRecorder.attach(tb.env)
         client.enable_shuffle()
         plan = client.epoch_file_list(seed=5)
 
@@ -56,7 +59,7 @@ class TestReadPath:
             tb, "obs", tb.compute_nodes[0], "c0",
             config=DieselConfig(shuffle_group_size=8, read_fanout=4),
         )
-        rec = SpanRecorder.attach(client, *tb.diesel_servers)
+        rec = SpanRecorder.attach(tb.env)
         client.enable_shuffle()
         paths = sorted(FILES)[::8][:12]
         got = tb.run(client.get_many(paths))
@@ -69,7 +72,7 @@ class TestReadPath:
         client = diesel_client_with_snapshot(
             tb, "obs", tb.compute_nodes[0], "c0",
         )
-        rec = SpanRecorder.attach(client, *tb.diesel_servers)
+        rec = SpanRecorder.attach(tb.env)
         tb.run(client.get(sorted(FILES)[0]))
         ops = {op for op, _ in rec.histograms}
         assert any(op.startswith("rpc_") for op in ops)
@@ -85,13 +88,11 @@ class TestWritePath:
     def test_put_flush_spans(self):
         tb = make_testbed(n_compute=1)
         add_diesel(tb, n_servers=2)
-        from repro.core.client import DieselClient
-
         client = DieselClient(
             tb.env, tb.compute_nodes[0], tb.diesel_servers, "w",
             name="writer", calibration=tb.cal,
         )
-        rec = SpanRecorder.attach(client, *tb.diesel_servers)
+        rec = SpanRecorder.attach(tb.env)
 
         def job():
             for i in range(8):
@@ -128,7 +129,7 @@ class TestCachePath:
         # warmup_fanout > 1 takes the fan-out recovery path, where each
         # surviving master times its own re-stream.
         cache = self._cache(tb, clients, warmup_fanout=2)
-        rec = SpanRecorder.attach(clients[0], cache)
+        rec = SpanRecorder.attach(tb.env)
         tb.run(cache.register())
         tb.run(cache.wait_warm())
         assert rec.histogram("warmup", "master").count == len(cache.masters)
@@ -149,7 +150,7 @@ class TestCachePath:
         cache = self._cache(tb, clients)
         reader = clients[1]
         reader.attach_cache(cache)
-        rec = SpanRecorder.attach(reader, cache)
+        rec = SpanRecorder.attach(tb.env)
         tb.run(cache.register())
         tb.run(cache.wait_warm())
 
@@ -162,3 +163,102 @@ class TestCachePath:
         # the cache's own spans say where *it* found the bytes.
         assert rec.layers("read").get("task_cache", 0) == 16
         assert rec.histogram("cache_read", "task_cache").count == 16
+
+
+def warm_two_node_cache(n_compute=2):
+    """A warm 2-node oneshot task cache; returns (tb, clients, cache)."""
+    tb = loaded_testbed(n_compute=n_compute)
+    clients = [
+        diesel_client_with_snapshot(
+            tb, "obs", tb.compute_nodes[c], f"c{c}", rank=c
+        )
+        for c in range(2)
+    ]
+    cache = TaskCache(
+        tb.env, tb.fabric, tb.diesel, "obs",
+        [c.as_cache_client() for c in clients],
+        policy="oneshot", calibration=tb.cal,
+    )
+    clients[1].attach_cache(cache)
+    tb.run(cache.register())
+    tb.run(cache.wait_warm())
+    return tb, clients, cache
+
+
+class TestEnvAttachment:
+    """One attachment point: everything in the environment reports."""
+
+    def test_reader_attribution_needs_no_cache_wiring(self):
+        tb, clients, cache = warm_two_node_cache()
+        reader = clients[1]
+        rec = SpanRecorder.attach(tb.env)
+
+        def job():
+            for path in sorted(FILES):
+                yield from reader.get(path)
+
+        tb.run(job())
+        # Half the chunks are owned by the reader's own node: those hits
+        # are memory copies, the other half pay the peer hop.
+        assert rec.layers("read") == {"task_cache": 64, "local_master": 64}
+
+    def test_master_elected_by_scale_up_records(self):
+        tb, clients, cache = warm_two_node_cache(n_compute=3)
+        rec = SpanRecorder.attach(tb.env)
+        joiner = CacheClient("joiner", tb.compute_nodes[2], 100)
+        tb.run(cache.scale_up([joiner]))
+        assert rec.counts[("cache_scale_up", "task_cache")] == 1
+        reader = clients[0].as_cache_client()
+        index = clients[0].index
+
+        def job():
+            for path in sorted(FILES):
+                yield from cache.read_file(reader, index.lookup(path))
+
+        tb.run(job())
+        # The new master's endpoint served peer reads and timed them.
+        assert any(s.actor == "cache:joiner" for s in rec.spans())
+
+    def test_client_built_after_attach_records(self):
+        tb = make_testbed(n_compute=1)
+        add_diesel(tb, n_servers=2)
+        rec = SpanRecorder.attach(tb.env)
+        client = DieselClient(
+            tb.env, tb.compute_nodes[0], tb.diesel_servers, "late",
+            name="late-writer", calibration=tb.cal,
+        )
+        tb.run(client.put("/late/a.bin", b"\x01" * (64 * KB)))
+        assert any(s.actor == "late-writer" and s.op == "put"
+                   for s in rec.spans())
+
+    def test_detector_counts_without_a_recorder_argument(self):
+        class Peer:
+            up = True
+
+        env = Environment()
+        rec = SpanRecorder.attach(env)
+        detector = FailureDetector(
+            env, heartbeat_interval_s=0.01, failure_timeout_s=0.04
+        )
+        peer = Peer()
+        detector.watch("victim", peer)
+        detector.start()
+        env.run(until=0.05)
+        peer.up = False
+        env.run(until=0.2)
+        detector.stop()
+        assert rec.counts[("ft_suspect", "detector")] == 1
+        assert rec.counts[("ft_dead", "detector")] == 1
+        assert rec.histogram("ft_detect", "detector").count == 1
+
+    def test_recorder_sees_only_its_own_environment(self):
+        tb_a = loaded_testbed()
+        tb_b = loaded_testbed()
+        rec = SpanRecorder.attach(tb_a.env)
+        assert tb_b.env.recorder is None
+        client = diesel_client_with_snapshot(
+            tb_b, "obs", tb_b.compute_nodes[0], "other"
+        )
+        tb_b.run(client.get(sorted(FILES)[0]))
+        assert len(rec) == 0
+        assert rec.to_dict() == {}

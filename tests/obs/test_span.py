@@ -6,51 +6,48 @@ from repro.obs import Span, SpanRecorder
 from repro.sim import Environment
 
 
-class FakeComponent:
-    def __init__(self, env):
-        self.env = env
-        self.recorder = None
-
-
 def make_recorder():
     env = Environment()
-    comp = FakeComponent(env)
-    rec = SpanRecorder.attach(comp)
-    return env, comp, rec
+    rec = SpanRecorder.attach(env)
+    return env, rec
 
 
 class TestAttach:
     def test_attach_sets_recorder_and_clock(self):
-        env, comp, rec = make_recorder()
-        assert comp.recorder is rec
+        env, rec = make_recorder()
+        assert env.recorder is rec
         assert rec.now() == env.now
 
     def test_attach_many(self):
-        env = Environment()
-        comps = [FakeComponent(env) for _ in range(3)]
-        rec = SpanRecorder.attach(*comps)
-        assert all(c.recorder is rec for c in comps)
+        # Each environment carries its own recorder on its own clock.
+        envs = [Environment(initial_time=t) for t in (0.0, 2.5)]
+        recs = [SpanRecorder.attach(env) for env in envs]
+        assert [env.recorder for env in envs] == recs
+        assert [rec.now() for rec in recs] == [0.0, 2.5]
 
     def test_detach(self):
-        env, comp, rec = make_recorder()
-        SpanRecorder.detach(comp)
-        assert comp.recorder is None
+        env, rec = make_recorder()
+        SpanRecorder.detach(env)
+        assert env.recorder is None
 
     def test_attach_requires_env(self):
-        class NoEnv:
-            pass
+        class Component:
+            def __init__(self, env):
+                self.env = env
 
-        with pytest.raises(ValueError):
-            SpanRecorder.attach(NoEnv())
+        # The attach point is the environment, never a component.
+        with pytest.raises(TypeError):
+            SpanRecorder.attach(Component(Environment()))
 
-    def test_attach_requires_components(self):
-        with pytest.raises(ValueError):
-            SpanRecorder.attach()
+    def test_attach_replaces_previous_recorder(self):
+        env, first = make_recorder()
+        second = SpanRecorder.attach(env)
+        assert env.recorder is second is not first
 
 
 class TestRecording:
     def test_start_finish_span(self):
-        env, comp, rec = make_recorder()
+        env, rec = make_recorder()
         span = rec.start("get", actor="c0")
 
         def job():
@@ -65,20 +62,20 @@ class TestRecording:
         assert len(rec) == 1
 
     def test_record_backdates_start(self):
-        env, comp, rec = make_recorder()
+        env, rec = make_recorder()
         rec.record("get", "server", 0.25, actor="c0")
         (span,) = rec.spans()
         assert span.start == pytest.approx(env.now - 0.25)
         assert span.duration == pytest.approx(0.25)
 
     def test_open_span_duration_is_zero(self):
-        env, comp, rec = make_recorder()
+        env, rec = make_recorder()
         span = rec.start("get")
         assert span.duration == 0.0
         assert "get" in repr(span)
 
     def test_histogram_per_op_layer(self):
-        env, comp, rec = make_recorder()
+        env, rec = make_recorder()
         rec.record("get", "server", 0.2)
         rec.record("get", "server", 0.4)
         rec.record("get", "group_cache", 0.001)
@@ -89,7 +86,7 @@ class TestRecording:
                                        ("get", "group_cache")}
 
     def test_counters_and_layers(self):
-        env, comp, rec = make_recorder()
+        env, rec = make_recorder()
         rec.count("read", "group_cache", n=5)
         rec.count("read", "server")
         rec.record("read", "task_cache", 0.1)
@@ -99,8 +96,7 @@ class TestRecording:
 
     def test_capacity_ring_drops_oldest(self):
         env = Environment()
-        comp = FakeComponent(env)
-        rec = SpanRecorder.attach(comp, capacity=4)
+        rec = SpanRecorder.attach(env, capacity=4)
         for i in range(6):
             rec.record("op", "layer", 0.001 * i)
         assert len(rec) == 4
@@ -115,7 +111,7 @@ class TestRecording:
 
 class TestFlattening:
     def test_to_dict_keys(self):
-        env, comp, rec = make_recorder()
+        env, rec = make_recorder()
         rec.record("get", "server", 0.2)
         rec.count("read", "server", n=3)
         d = rec.to_dict()
@@ -125,7 +121,7 @@ class TestFlattening:
         assert d["read_server_count"] == 3
 
     def test_to_dict_sanitizes_names(self):
-        env, comp, rec = make_recorder()
+        env, rec = make_recorder()
         rec.record("rpc:get file", "queue/fast", 0.1)
         keys = rec.to_dict()
         assert "rpc_get_file_queue_fast_n" in keys
@@ -133,13 +129,13 @@ class TestFlattening:
     def test_stats_row_accepts_recorder(self):
         from repro.bench.reporting import stats_row
 
-        env, comp, rec = make_recorder()
+        env, rec = make_recorder()
         rec.record("get", "server", 0.2)
         row = stats_row(rec, prefix="obs_")
         assert row["obs_get_server_n"] == 1
 
     def test_summary_table(self):
-        env, comp, rec = make_recorder()
+        env, rec = make_recorder()
         rec.record("get", "server", 0.2)
         rec.count("read", "server", n=3)
         text = rec.summary()

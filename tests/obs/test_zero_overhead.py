@@ -1,8 +1,8 @@
 """Regression: attaching a recorder must not change what it measures.
 
 The observability contract is *zero cost when disabled and read-only
-when enabled*: every instrumentation site is a single ``if recorder is
-None`` guard around pure bookkeeping, so an identical workload must
+when enabled*: every instrumentation site is a single ``if rec is
+None`` guard on ``env.recorder`` around pure bookkeeping, so an identical workload must
 produce byte-identical stats counters and identical simulated elapsed
 time whether or not a recorder is attached.
 """
@@ -44,7 +44,7 @@ def read_workload(attach: bool):
         ),
     )
     if attach:
-        SpanRecorder.attach(client, *tb.diesel_servers)
+        SpanRecorder.attach(tb.env)
     client.enable_shuffle()
     plan = client.epoch_file_list(seed=13)
 
@@ -75,7 +75,7 @@ def write_workload(attach: bool):
         calibration=tb.cal,
     )
     if attach:
-        SpanRecorder.attach(client, *tb.diesel_servers)
+        SpanRecorder.attach(tb.env)
     items = [(f"/zw/f{i:04d}.bin", b"\x66" * (256 * KB)) for i in range(24)]
     t0 = tb.env.now
     tb.run(client.put_many(items))
@@ -104,8 +104,8 @@ class TestZeroOverhead:
         client = diesel_client_with_snapshot(
             tb, "zc", tb.compute_nodes[0], "reader"
         )
-        rec = SpanRecorder.attach(client, tb.diesel)
-        SpanRecorder.detach(client, tb.diesel)
+        rec = SpanRecorder.attach(tb.env)
+        SpanRecorder.detach(tb.env)
         tb.run(client.get(sorted(FILES)[0]))
         assert len(rec) == 0
         assert rec.to_dict() == {}
